@@ -10,7 +10,10 @@ through ``make_replayer`` in auto mode, then fails if
   (the ``replay.kernel_fallbacks`` metric, recorded by auto mode), or
 * any replay result reports ``replay_kernel == "event"``, or
 * a platform stopped declaring fast-path support at any of the
-  1/2/4/8 GC-thread counts the paper sweeps.
+  1/2/4/8 GC-thread counts the paper sweeps, or
+* any Bitmap Count or marking-phase Scan&Push row reached the Charon
+  kernel's scalar stage-1 planner (the ``replay.kernel_scalar_rows``
+  metric; multi-page copy/search ranges are exempt).
 
 The trace sets themselves are generated fresh at the top, which also
 pins the *collect-side* fast path: the script fails if that generation
@@ -121,6 +124,26 @@ def main() -> int:
     if fallbacks:
         failures.append(f"{fallbacks:.0f} silent fallback(s) to "
                         f"event-by-event replay were recorded")
+
+    # Stage-1 guard: the Charon kernel plans Bitmap Count and marking
+    # Scan&Push rows as numpy columns; only multi-page ranges may take
+    # its scalar planner.
+    scalar_rows: dict = {}
+    for sample in global_metrics().samples():
+        if sample["metric"] == "replay.kernel_scalar_rows":
+            row = sample["labels"]["row"]
+            scalar_rows[row] = scalar_rows.get(row, 0) + sample["value"]
+    if not scalar_rows:
+        failures.append("no replay.kernel_scalar_rows samples: the "
+                        "Charon stage-1 guard saw nothing")
+    for row in ("bitmap_count", "mark_scan"):
+        if scalar_rows.get(row):
+            failures.append(f"{scalar_rows[row]:.0f} {row} row(s) "
+                            f"reached the scalar stage-1 planner")
+    if scalar_rows:
+        print("charon stage-1 scalar rows: " + ", ".join(
+            f"{row}={count:.0f}" for row, count
+            in sorted(scalar_rows.items())))
 
     # Publish the verdict where live consumers see it: a gauge in the
     # registry (scraped by /metrics when a port is armed) and a typed

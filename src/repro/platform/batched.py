@@ -34,7 +34,9 @@ golden comparisons.
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,14 +49,102 @@ from repro.gcalgo.trace import Primitive, is_marking_phase
 from repro.units import CACHE_LINE, HMC_MAX_REQUEST, WORD
 
 #: Stage-2 loop granularity: plans are consumed in slices of this many
-#: events (the ``replay.kernel.chunks`` metric counts these).
+#: events (the ``replay.kernel_chunks`` metric counts these).
 CHUNK_EVENTS = 4096
+
+#: Stage-1 per-line expansion (bitmap-count and mark lines) runs over
+#: row blocks of about this many lines, which bounds the transient
+#: columns and lists of one ``begin`` (~10 MB).
+LINE_BLOCK = 65536
+
+#: Row classes ``CharonBatchedKernel.scalar_rows`` counts (the
+#: ``replay.kernel_scalar_rows`` metric's ``row`` label).
+SCALAR_ROW_CLASSES = ("copy", "search", "scan", "mark_scan",
+                      "bitmap_count")
+
+#: Trace kinds whose Scan&Push rows mark (and so touch mark-bitmap
+#: lines through the bitmap cache).
+_MARKING_KINDS = ("major", "g1", "concurrent")
+
+#: Multiplier of the marking-window hash (Knuth's golden-ratio hash).
+_MARK_HASH = 2654435761
+#: Largest ``src >> 14`` whose hash product still fits in int64.
+_MARK_HASH_LIMIT = (2 ** 63 - 1) // _MARK_HASH
 
 
 class FastReplayUnsupported(ReproError):
     """The platform's event costs cannot be batched (its
     :meth:`~repro.platform.base.Platform.fast_replay_support` refused,
     or the trace touches state the kernel cannot mirror)."""
+
+
+class _Unmapped(Exception):
+    """Vectorized stage 1 met an address with no mapping (the trace is
+    replanned by the scalar planner, which raises the fault in order)."""
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector while stage 1 builds plan
+    tuples.  The plans hold no reference cycles, yet every burst of
+    tuple allocations would trigger collections that re-walk all the
+    plans built so far."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _line_blocks(counts: np.ndarray):
+    """Expand rows of ``counts`` lines each into per-line columns, in
+    row blocks of about :data:`LINE_BLOCK` lines (at least one row).
+
+    Yields ``(lo, hi, ends, row_of, index)`` per block of rows
+    ``[lo, hi)``: each row's exclusive line end within the block, and
+    per line its row (block-relative) and its index within the row.
+    """
+    total = np.cumsum(counts)
+    lo = 0
+    while lo < len(total):
+        done = int(total[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(total, done + LINE_BLOCK,
+                                             side="right")))
+        count = counts[lo:hi]
+        ends = total[lo:hi] - done
+        row_of = np.repeat(np.arange(hi - lo), count)
+        index = np.arange(int(ends[-1])) - (ends - count)[row_of]
+        yield lo, hi, ends, row_of, index
+        lo = hi
+
+
+def _group_rows(*columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` of the distinct row tuples of int64 columns.
+
+    The grouping of ``np.unique(np.stack(columns, 1), axis=0,
+    return_index=True, return_inverse=True)``.  Each column is shifted
+    to zero and packed into one int64 key with its own span as radix
+    (much faster to sort) whenever the spans' product fits; a fixed
+    radix would silently merge distinct tuples once a column outgrew it.
+    """
+    key = None
+    total = 1
+    for column in columns:
+        lo = int(column.min())
+        span = int(column.max()) - lo + 1
+        total *= span
+        if total >= 2 ** 62:
+            _, first, inverse = np.unique(
+                np.stack(columns, axis=1), axis=0, return_index=True,
+                return_inverse=True)
+            return first, inverse.reshape(-1)
+        shifted = column - lo
+        key = shifted if key is None else key * span + shifted
+    _, first, inverse = np.unique(key, return_index=True,
+                                  return_inverse=True)
+    return first, inverse
 
 
 def _prim_index(compiled: CompiledTrace
@@ -890,6 +980,11 @@ class CharonBatchedKernel:
         self._prim_keys: List[Primitive] = []
         self._prim_ids: List[int] = []
         self._bc_uses: Dict[Tuple[int, int], Tuple[int, float]] = {}
+        self._bc_table = None  # [unit cube, owner] -> _bc_use columns
+        self._heads: Dict[Tuple[str, int, int], Tuple] = {}
+        #: Rows the last ``begin`` planned through the scalar planner,
+        #: per :data:`SCALAR_ROW_CLASSES` entry.
+        self.scalar_rows = dict.fromkeys(SCALAR_ROW_CLASSES, 0)
 
     # -- stage-1 helpers ---------------------------------------------------
 
@@ -968,32 +1063,133 @@ class CharonBatchedKernel:
             self._bc_uses[key] = use
         return use
 
+    def _head(self, kind_key: str, u: int, has_value: int) -> Tuple:
+        """``(pool, request chain, response chain)``: the plan-tuple
+        prefix shared by every event routed to one unit pool."""
+        key = (kind_key, u, has_value)
+        head = self._heads.get(key)
+        if head is None:
+            pool = self.pool_of[(kind_key, u)]
+            if self.cpu_side:
+                head = (pool, None, None)
+            else:
+                head = (pool, self._req_chain[u],
+                        self._resp_chain[(u, has_value)])
+            self._heads[key] = head
+        return head
+
     def _entry(self, kind_key: str, u: int, has_value: int,
                ex: Tuple) -> Tuple:
         """The per-event plan tuple stage 2 consumes."""
-        pool = self.pool_of[(kind_key, u)]
-        if self.cpu_side:
-            return (pool, None, None, ex)
-        return (pool, self._req_chain[u],
-                self._resp_chain[(u, has_value)], ex)
+        return self._head(kind_key, u, has_value) + (ex,)
+
+    def _bc_columns(self, units: np.ndarray, owners: np.ndarray
+                    ) -> Tuple[np.ndarray, List[float]]:
+        """:meth:`_bc_use` over per-line ``(unit cube, owner cube)``
+        columns: ``(slice ids, penalties)``.
+
+        A flat ``[unit cube, owner]`` table is filled from
+        :meth:`_bc_use` for the pairs present, so the penalties are the
+        same shared float objects the scalar planner stores.
+        """
+        cubes = self.ref_cubes
+        key = units * cubes + owners
+        if self._bc_table is None:
+            self._bc_table = (np.full(cubes * cubes, -1, dtype=np.int64),
+                              [0.0] * (cubes * cubes))
+        slices, penalties = self._bc_table
+        present = np.flatnonzero(np.bincount(key,
+                                             minlength=cubes * cubes))
+        for k in present[slices[present] < 0].tolist():
+            slices[k], penalties[k] = self._bc_use(k // cubes, k % cubes)
+        return slices[key], list(map(penalties.__getitem__,
+                                     key.tolist()))
 
     def begin(self, compiled: CompiledTrace) -> None:
+        with _gc_paused():
+            plans, acc, batches, tallies = self._stage1(compiled)
+        self._finish_accounting(compiled,
+                                compiled.derived_columns()["is_copy"],
+                                batches, acc, tallies)
+        self._plans = plans
+        self._prim_keys, self._prim_ids = _prim_index(compiled)
+
+    def _stage1(self, compiled: CompiledTrace) -> Tuple:
+        """Plan a whole trace without touching the platform.
+
+        Returns ``(plans, acc, batches, tallies)`` for
+        :meth:`_finish_accounting`.  Rows are planned with numpy column
+        arithmetic; only multi-page copy/search ranges and marking
+        scans whose window hash would overflow int64 take the scalar
+        :meth:`_plan_events` — and the whole trace does when an event
+        will fault.  ``scalar_rows`` counts the scalar rows per class.
+        """
         info = self.device._require_init()
         self.map.refresh()
+        derived = compiled.derived_columns()
+        n = len(compiled.events)
+        if int(derived["is_copy"].sum() + derived["is_search"].sum()
+               + derived["is_scan"].sum()
+               + derived["is_bitmap"].sum()) != n:
+            raise FastReplayUnsupported(
+                "trace contains primitive codes the Charon kernel "
+                "does not model")
+        state = self._fresh_state(n)
+        try:
+            rest = self._plan_columns(compiled, info, *state)
+        except _Unmapped:
+            # An event will fault.  Replan everything through the
+            # scalar planner, which raises the identical
+            # ProtectionFault at the identical event — accounting is
+            # deferred to _finish_accounting, so a faulting begin never
+            # mutates the platform on either path.
+            state = self._fresh_state(n)
+            rest = np.arange(n)
+        if len(rest):
+            self._plan_events(compiled, info, rest.tolist(), *state)
+        self.scalar_rows = self._row_classes(compiled, rest)
+        return state
+
+    def _fresh_state(self, n: int) -> Tuple:
+        """Empty ``(plans, acc, batches, tallies)`` for one trace."""
+        self._local_bytes = 0
+        self._remote_bytes = 0
+        tallies = {"tlb": [0] * len(self.tlbs),
+                   "tlb_remote": [0] * len(self.tlbs),
+                   "bc_port": [0] * len(self.bcs),
+                   "probes": 0}
+        return [None] * n, {}, {}, tallies
+
+    @staticmethod
+    def _row_classes(compiled: CompiledTrace, rows: np.ndarray
+                     ) -> Dict[str, int]:
+        """Counts of ``rows`` per :data:`SCALAR_ROW_CLASSES` entry."""
+        counts = dict.fromkeys(SCALAR_ROW_CLASSES, 0)
+        if len(rows):
+            prim = compiled.events["prim"][rows]
+            scan = ("mark_scan" if compiled.kind in _MARKING_KINDS
+                    else "scan")
+            for name, primitive in (("copy", Primitive.COPY),
+                                    ("search", Primitive.SEARCH),
+                                    (scan, Primitive.SCAN_PUSH),
+                                    ("bitmap_count",
+                                     Primitive.BITMAP_COUNT)):
+                counts[name] = int(
+                    (prim == PRIMITIVE_TYPE_CODES[primitive]).sum())
+        return counts
+
+    def _plan_columns(self, compiled: CompiledTrace, info, plans: List,
+                      acc: Dict[int, List[int]],
+                      batches: Dict[Tuple[int, int], int],
+                      tallies: Dict[str, int]) -> np.ndarray:
+        """The vectorized planner; returns the rows it left for the
+        scalar one (raises :class:`_Unmapped` if an event will fault)."""
         ev = compiled.events
-        prim = ev["prim"]
-        n = len(prim)
+        n = len(ev)
         derived = compiled.derived_columns()
         copy_m = derived["is_copy"]
         search_m = derived["is_search"]
         scan_m = derived["is_scan"]
-        bitmap_m = derived["is_bitmap"]
-        if int(copy_m.sum() + search_m.sum() + scan_m.sum()
-               + bitmap_m.sum()) != n:
-            raise FastReplayUnsupported(
-                "trace contains primitive codes the Charon kernel "
-                "does not model")
-        marking_kind = compiled.kind in ("major", "g1", "concurrent")
         cpu_side = self.cpu_side
         cyc = self.cyc
         chunk = self.chunk
@@ -1001,33 +1197,13 @@ class CharonBatchedKernel:
         dst = ev["dst"]
         size = ev["size_bytes"]
         refs = ev["refs"]
-        pushes = ev["pushes"]
         code_copy = PRIMITIVE_TYPE_CODES[Primitive.COPY]
         code_search = PRIMITIVE_TYPE_CODES[Primitive.SEARCH]
-        code_scan = PRIMITIVE_TYPE_CODES[Primitive.SCAN_PUSH]
-
-        self._local_bytes = 0
-        self._remote_bytes = 0
-        acc: Dict[int, List[int]] = {}
-        batches: Dict[Tuple[int, int], int] = {}
-        tallies = {"tlb": [0] * len(self.tlbs),
-                   "tlb_remote": [0] * len(self.tlbs),
-                   "bc_port": [0] * len(self.bcs),
-                   "probes": 0}
         t_tlb = tallies["tlb"]
         t_rem = tallies["tlb_remote"]
-        plans: List = [None] * n
-
-        # Rows stage 1 cannot group: bitmap counts (their cache-line
-        # lists are per-event) and marking-phase scans (mark line
-        # addresses depend on the object address) take the scalar
-        # planner below; so do multi-page ranges found along the way.
-        leftover = bitmap_m.copy()
-        if marking_kind:
-            leftover |= scan_m
+        leftover = np.zeros(n, dtype=bool)
 
         src_cube, src_psize, src_mapped = self.map.lookup_columns(src)
-        dst_cube, dst_psize, dst_mapped = self.map.lookup_columns(dst)
         sized = size > 0
         if cpu_side:
             need_src = (copy_m & sized) | search_m \
@@ -1036,206 +1212,343 @@ class CharonBatchedKernel:
             need_src = copy_m | search_m | scan_m
         else:
             need_src = copy_m | search_m | (scan_m & (refs > 0))
-        if (need_src & ~src_mapped).any() \
-                or (copy_m & sized & ~dst_mapped).any():
-            # An event will fault.  Replan everything through the
-            # scalar planner, which raises the identical
-            # ProtectionFault at the identical event — accounting is
-            # deferred to the end of begin, so a faulting begin never
-            # mutates the platform on either path.
-            self._plan_events(compiled, info, range(n), plans, acc,
-                              batches, tallies)
-        else:
-            zeros = np.zeros(n, dtype=np.int64)
-            ucube_cs = zeros if cpu_side else src_cube
-            src_off = src % src_psize
-            dst_off = dst % dst_psize
+        if (need_src & ~src_mapped).any():
+            raise _Unmapped
+        ucube_cs = np.zeros(n, dtype=np.int64) if cpu_side else src_cube
+        src_off = src % src_psize
 
-            # -- copies ----------------------------------------------
-            rows = np.flatnonzero(copy_m & ~sized)
-            if len(rows):
-                uq, inv = np.unique(ucube_cs[rows],
-                                    return_inverse=True)
+        # -- copies --------------------------------------------------------
+        rows = np.flatnonzero(copy_m & ~sized)
+        if len(rows):
+            uq, inv = np.unique(ucube_cs[rows], return_inverse=True)
+            table = []
+            for u0, m in zip(uq.tolist(), np.bincount(inv).tolist()):
+                table.append(self._entry("copy_search", u0, 0,
+                                         ("T", cyc)))
+                batches[(u0, code_copy)] = \
+                    batches.get((u0, code_copy), 0) + m
+            for i, j in zip(rows.tolist(), inv.tolist()):
+                plans[i] = table[j]
+        rows = np.flatnonzero(copy_m & sized)
+        if len(rows):
+            dst_cube, dst_psize, dst_mapped = self.map.lookup_columns(
+                dst[rows])
+            if not dst_mapped.all():
+                raise _Unmapped
+            sz = size[rows]
+            fits = (src_off[rows] + sz <= src_psize[rows]) \
+                & (dst[rows] % dst_psize + sz <= dst_psize)
+            leftover[rows[~fits]] = True
+            vec = rows[fits]
+            if len(vec):
+                u_a = ucube_cs[vec]
+                sc_a = src_cube[vec]
+                dc_a = dst_cube[fits]
+                sz_a = size[vec]
+                first, inv = _group_rows(sz_a, u_a, sc_a, dc_a)
                 table = []
-                for u0, m in zip(uq.tolist(),
+                for f0, m in zip(first.tolist(),
                                  np.bincount(inv).tolist()):
-                    table.append(self._entry("copy_search", u0, 0,
-                                             ("T", cyc)))
+                    u0 = int(u_a[f0])
+                    sc0 = int(sc_a[f0])
+                    dc0 = int(dc_a[f0])
+                    sz0 = int(sz_a[f0])
+                    use_s = self._tlb_use(u0, sc0)
+                    use_d = self._tlb_use(u0, dc0)
+                    ex = ("C", ((use_s[0], use_s[1]),
+                                (use_d[0], use_d[1])),
+                          (self._stream_plan(u0, sc0, sz0, chunk,
+                                             False),),
+                          (self._stream_plan(u0, dc0, sz0, chunk,
+                                             False),))
+                    table.append(self._entry("copy_search", u0, 0, ex))
                     batches[(u0, code_copy)] = \
                         batches.get((u0, code_copy), 0) + m
-                for i, j in zip(rows.tolist(), inv.tolist()):
+                    for _, _, si, rem in (use_s, use_d):
+                        t_tlb[si] += m
+                        if rem:
+                            t_rem[si] += m
+                    tallies["probes"] += 2 * math.ceil(sz0 / chunk) * m
+                    self._account_stream(acc, u0, sc0, sz0 * m, m)
+                    self._account_stream(acc, u0, dc0, sz0 * m, m)
+                for i, j in zip(vec.tolist(), inv.tolist()):
                     plans[i] = table[j]
-            rows = np.flatnonzero(copy_m & sized)
-            if len(rows):
-                sz = size[rows]
-                fits = (src_off[rows] + sz <= src_psize[rows]) \
-                    & (dst_off[rows] + sz <= dst_psize[rows])
-                leftover[rows[~fits]] = True
-                vec = rows[fits]
-                if len(vec):
-                    u_a = ucube_cs[vec]
-                    sc_a = src_cube[vec]
-                    dc_a = dst_cube[vec]
-                    sz_a = size[vec]
-                    key = ((sz_a * 64 + u_a) * 64 + sc_a) * 64 + dc_a
-                    _, first, inv = np.unique(key, return_index=True,
-                                              return_inverse=True)
-                    table = []
-                    for f0, m in zip(first.tolist(),
-                                     np.bincount(inv).tolist()):
-                        u0 = int(u_a[f0])
-                        sc0 = int(sc_a[f0])
-                        dc0 = int(dc_a[f0])
-                        sz0 = int(sz_a[f0])
-                        use_s = self._tlb_use(u0, sc0)
-                        use_d = self._tlb_use(u0, dc0)
-                        ex = ("C", ((use_s[0], use_s[1]),
-                                    (use_d[0], use_d[1])),
-                              (self._stream_plan(u0, sc0, sz0, chunk,
-                                                 False),),
-                              (self._stream_plan(u0, dc0, sz0, chunk,
-                                                 False),))
-                        table.append(self._entry("copy_search", u0, 0,
-                                                 ex))
-                        batches[(u0, code_copy)] = \
-                            batches.get((u0, code_copy), 0) + m
-                        for _, _, si, rem in (use_s, use_d):
-                            t_tlb[si] += m
-                            if rem:
-                                t_rem[si] += m
-                        tallies["probes"] += \
-                            2 * math.ceil(sz0 / chunk) * m
-                        self._account_stream(acc, u0, sc0, sz0 * m, m)
-                        self._account_stream(acc, u0, dc0, sz0 * m, m)
-                    for i, j in zip(vec.tolist(), inv.tolist()):
-                        plans[i] = table[j]
 
-            # -- searches --------------------------------------------
-            rows = np.flatnonzero(search_m)
-            if len(rows):
-                examined = np.maximum(
-                    32, derived["search_examined"][rows])
-                fits = src_off[rows] + examined <= src_psize[rows]
-                leftover[rows[~fits]] = True
-                keep = np.flatnonzero(fits)
-                if len(keep):
-                    vec = rows[keep]
-                    ex_a = examined[keep]
-                    u_a = ucube_cs[vec]
-                    sc_a = src_cube[vec]
-                    key = (ex_a * 64 + u_a) * 64 + sc_a
-                    _, first, inv = np.unique(key, return_index=True,
-                                              return_inverse=True)
-                    table = []
-                    for f0, m in zip(first.tolist(),
-                                     np.bincount(inv).tolist()):
-                        u0 = int(u_a[f0])
-                        sc0 = int(sc_a[f0])
-                        ex0 = int(ex_a[f0])
-                        s_chunk = min(HMC_MAX_REQUEST, ex0)
-                        use = self._tlb_use(u0, sc0)
-                        ex = ("S", (use[0], use[1]),
-                              (self._stream_plan(u0, sc0, ex0, s_chunk,
-                                                 False),),
-                              math.ceil(ex0 / 32) * cyc)
-                        table.append(self._entry("copy_search", u0, 1,
-                                                 ex))
-                        batches[(u0, code_search)] = \
-                            batches.get((u0, code_search), 0) + m
-                        t_tlb[use[2]] += m
-                        if use[3]:
-                            t_rem[use[2]] += m
-                        tallies["probes"] += \
-                            math.ceil(ex0 / s_chunk) * m
-                        self._account_stream(acc, u0, sc0, ex0 * m, m)
-                    for i, j in zip(vec.tolist(), inv.tolist()):
-                        plans[i] = table[j]
+        # -- searches ------------------------------------------------------
+        rows = np.flatnonzero(search_m)
+        if len(rows):
+            examined = np.maximum(32, derived["search_examined"][rows])
+            fits = src_off[rows] + examined <= src_psize[rows]
+            leftover[rows[~fits]] = True
+            keep = np.flatnonzero(fits)
+            if len(keep):
+                vec = rows[keep]
+                ex_a = examined[keep]
+                u_a = ucube_cs[vec]
+                sc_a = src_cube[vec]
+                first, inv = _group_rows(ex_a, u_a, sc_a)
+                table = []
+                for f0, m in zip(first.tolist(),
+                                 np.bincount(inv).tolist()):
+                    u0 = int(u_a[f0])
+                    sc0 = int(sc_a[f0])
+                    ex0 = int(ex_a[f0])
+                    s_chunk = min(HMC_MAX_REQUEST, ex0)
+                    use = self._tlb_use(u0, sc0)
+                    ex = ("S", (use[0], use[1]),
+                          (self._stream_plan(u0, sc0, ex0, s_chunk,
+                                             False),),
+                          math.ceil(ex0 / 32) * cyc)
+                    table.append(self._entry("copy_search", u0, 1, ex))
+                    batches[(u0, code_search)] = \
+                        batches.get((u0, code_search), 0) + m
+                    t_tlb[use[2]] += m
+                    if use[3]:
+                        t_rem[use[2]] += m
+                    tallies["probes"] += math.ceil(ex0 / s_chunk) * m
+                    self._account_stream(acc, u0, sc0, ex0 * m, m)
+                for i, j in zip(vec.tolist(), inv.tolist()):
+                    plans[i] = table[j]
 
-            # -- scans (non-marking kinds only) ----------------------
-            if not marking_kind:
-                if cpu_side:
-                    u_all = zeros
-                elif self.scan_local:
-                    u_all = src_cube
-                else:
-                    u_all = np.full(n, self.central, dtype=np.int64)
-                rows = np.flatnonzero(scan_m & (refs <= 0))
-                if len(rows):
-                    uq, inv = np.unique(u_all[rows],
-                                        return_inverse=True)
-                    table = []
-                    for u0, m in zip(uq.tolist(),
-                                     np.bincount(inv).tolist()):
-                        table.append(self._entry("scan_push", u0, 1,
-                                                 ("T", 2 * cyc)))
-                        batches[(u0, code_scan)] = \
-                            batches.get((u0, code_scan), 0) + m
-                    for i, j in zip(rows.tolist(), inv.tolist()):
-                        plans[i] = table[j]
-                rows = np.flatnonzero(scan_m & (refs > 0))
-                if len(rows):
-                    rf_a = refs[rows]
-                    ps_a = pushes[rows]
-                    r_span = int(rf_a.max()) + 1
-                    p_span = int(ps_a.max()) + 1
-                    if r_span * p_span * 64 * 64 >= 2 ** 62:
-                        leftover[rows] = True
-                    else:
-                        u_a = u_all[rows]
-                        oc_a = src_cube[rows]
-                        key = ((rf_a * p_span + ps_a) * 64 + u_a) \
-                            * 64 + oc_a
-                        _, first, inv = np.unique(
-                            key, return_index=True,
-                            return_inverse=True)
-                        table = []
-                        for f0, m in zip(first.tolist(),
-                                         np.bincount(inv).tolist()):
-                            u0 = int(u_a[f0])
-                            oc0 = int(oc_a[f0])
-                            rf0 = int(rf_a[f0])
-                            ps0 = int(ps_a[f0])
-                            slot_bytes = max(CACHE_LINE, rf0 * 8)
-                            slot_plan = self._stream_plan(
-                                u0, oc0, slot_bytes, 256, True)
-                            self._account_stream(acc, u0, oc0,
-                                                 slot_bytes * m, m)
-                            per_cube = [rf0 // self.ref_cubes] \
-                                * self.ref_cubes
-                            for extra in range(rf0 % self.ref_cubes):
-                                per_cube[extra] += 1
-                            ref_plans = []
-                            for t, count in enumerate(per_cube):
-                                if count == 0:
-                                    continue
-                                nb = count * CACHE_LINE
-                                ref_plans.append(self._stream_plan(
-                                    u0, t, nb, CACHE_LINE, True))
-                                self._account_stream(acc, u0, t,
-                                                     nb * m, m)
-                            use = self._tlb_use(u0, oc0)
-                            ex = ("P", (use[0], use[1]), slot_plan,
-                                  tuple(ref_plans), ps0 * cyc, None)
-                            table.append(self._entry("scan_push", u0,
-                                                     1, ex))
-                            batches[(u0, code_scan)] = \
-                                batches.get((u0, code_scan), 0) + m
-                            t_tlb[use[2]] += m
-                            if use[3]:
-                                t_rem[use[2]] += m
-                            tallies["probes"] += rf0 * m
-                        for i, j in zip(rows.tolist(), inv.tolist()):
-                            plans[i] = table[j]
+        self._plan_scans(compiled, info, src_cube, plans, acc, batches,
+                         tallies, leftover)
+        self._plan_bitmap_counts(compiled, info, plans, batches, tallies)
+        return np.flatnonzero(leftover)
 
-            rest = np.flatnonzero(leftover).tolist()
-            if rest:
-                self._plan_events(compiled, info, rest, plans, acc,
-                                  batches, tallies)
+    def _plan_scans(self, compiled: CompiledTrace, info,
+                    src_cube: np.ndarray, plans: List,
+                    acc: Dict[int, List[int]],
+                    batches: Dict[Tuple[int, int], int],
+                    tallies: Dict[str, int],
+                    leftover: np.ndarray) -> None:
+        """Scan&Push rows.  Stream plans are shared per (refs, unit
+        cube, object cube) group and plans per (group, pushes);
+        marking-kind rows with pushes add their own mark-line tuple."""
+        ev = compiled.events
+        scan_m = compiled.derived_columns()["is_scan"]
+        src = ev["src"]
+        refs = ev["refs"]
+        pushes = ev["pushes"]
+        n = len(src)
+        cyc = self.cyc
+        code_scan = PRIMITIVE_TYPE_CODES[Primitive.SCAN_PUSH]
+        t_tlb = tallies["tlb"]
+        t_rem = tallies["tlb_remote"]
+        if self.cpu_side:
+            u_all = np.zeros(n, dtype=np.int64)
+        elif self.scan_local:
+            u_all = src_cube
+        else:
+            u_all = np.full(n, self.central, dtype=np.int64)
+        rows = np.flatnonzero(scan_m & (refs <= 0))
+        if len(rows):
+            uq, inv = np.unique(u_all[rows], return_inverse=True)
+            table = []
+            for u0, m in zip(uq.tolist(), np.bincount(inv).tolist()):
+                table.append(self._entry("scan_push", u0, 1,
+                                         ("T", 2 * cyc)))
+                batches[(u0, code_scan)] = \
+                    batches.get((u0, code_scan), 0) + m
+            for i, j in zip(rows.tolist(), inv.tolist()):
+                plans[i] = table[j]
+        rows = np.flatnonzero(scan_m & (refs > 0))
+        if not len(rows):
+            return
+        covered = info.heap_end - info.bitmap_covered_start
+        marking = compiled.kind in _MARKING_KINDS and covered > 0
+        if marking:
+            # numpy wraps where Python ints do not: rows whose window
+            # hash would overflow int64 take the scalar planner.
+            hashed = src[rows] >> 14
+            wide = ((hashed > _MARK_HASH_LIMIT)
+                    | (hashed < -_MARK_HASH_LIMIT)) & (pushes[rows] != 0)
+            if wide.any():
+                leftover[rows[wide]] = True
+                rows = rows[~wide]
+                if not len(rows):
+                    return
+        rf_a = refs[rows]
+        ps_a = pushes[rows]
+        u_a = u_all[rows]
+        oc_a = src_cube[rows]
+        # Streams, lookups and accounting depend on (refs, unit cube,
+        # object cube) only; pushes just set the tail and mark lines.
+        first, streams = _group_rows(rf_a, u_a, oc_a)
+        bodies = []
+        for f0, m in zip(first.tolist(), np.bincount(streams).tolist()):
+            u0 = int(u_a[f0])
+            oc0 = int(oc_a[f0])
+            rf0 = int(rf_a[f0])
+            slot_bytes = max(CACHE_LINE, rf0 * 8)
+            slot_plan = self._stream_plan(u0, oc0, slot_bytes, 256, True)
+            self._account_stream(acc, u0, oc0, slot_bytes * m, m)
+            per_cube = [rf0 // self.ref_cubes] * self.ref_cubes
+            for extra in range(rf0 % self.ref_cubes):
+                per_cube[extra] += 1
+            ref_plans = []
+            for t, count in enumerate(per_cube):
+                if count == 0:
+                    continue
+                nb = count * CACHE_LINE
+                ref_plans.append(self._stream_plan(u0, t, nb,
+                                                   CACHE_LINE, True))
+                self._account_stream(acc, u0, t, nb * m, m)
+            use = self._tlb_use(u0, oc0)
+            bodies.append((self._head("scan_push", u0, 1),
+                           ("P", (use[0], use[1]), slot_plan,
+                            tuple(ref_plans))))
+            batches[(u0, code_scan)] = \
+                batches.get((u0, code_scan), 0) + m
+            t_tlb[use[2]] += m
+            if use[3]:
+                t_rem[use[2]] += m
+            tallies["probes"] += rf0 * m
+        first, inv = _group_rows(streams, ps_a)
+        heads = []
+        prefixes = []
+        for g, ps0 in zip(streams[first].tolist(), ps_a[first].tolist()):
+            head, body = bodies[g]
+            heads.append(head)
+            prefixes.append(body + (ps0 * cyc,))
+        table = [head + (prefix + (None,),)
+                 for head, prefix in zip(heads, prefixes)]
+        marked = (ps_a != 0) if marking else np.zeros(len(rows), bool)
+        plain = ~marked
+        for i, j in zip(rows[plain].tolist(), inv[plain].tolist()):
+            plans[i] = table[j]
+        if marked.any():
+            self._plan_marks(info, src, pushes, rows[marked],
+                             inv[marked], u_a[marked], heads, prefixes,
+                             plans, tallies)
 
-        self._finish_accounting(compiled, copy_m, batches, acc,
-                                tallies)
-        self._plans = plans
-        self._prim_keys, self._prim_ids = _prim_index(compiled)
+    def _plan_marks(self, info, src: np.ndarray, pushes: np.ndarray,
+                    rows: np.ndarray, groups: np.ndarray,
+                    units: np.ndarray, heads: List, prefixes: List,
+                    plans: List, tallies: Dict[str, int]) -> None:
+        """Marking-phase Scan&Push rows: one mark-bitmap line per push,
+        ``((src >> 14) * 2654435761) % covered`` windows expanded as
+        columns one row block at a time."""
+        covered = info.heap_end - info.bitmap_covered_start
+        t_bc = tallies["bc_port"]
+        counts = np.maximum(pushes[rows], 0)
+        for lo, hi, ends, row_of, index in _line_blocks(counts):
+            block = rows[lo:hi]
+            s = src[block]
+            base = (s >> 14) * _MARK_HASH % covered + (s & 0x3FF0)
+            lines = info.bitmap_base \
+                + (base[row_of] + index * 64) % covered // 64
+            marks = self._line_tuples(lines, units[lo:hi][row_of], t_bc)
+            start = 0
+            for i, j, end in zip(block.tolist(), groups[lo:hi].tolist(),
+                                 ends.tolist()):
+                plans[i] = heads[j] + (prefixes[j]
+                                       + (tuple(marks[start:end]),),)
+                start = end
+
+    def _line_tuples(self, lines: np.ndarray, units: np.ndarray,
+                     t_bc: List[int]) -> List[Tuple]:
+        """``(line address, slice, penalty)`` per bitmap-cache line,
+        tallying the slice port accesses (raises :class:`_Unmapped`
+        for an unmapped line)."""
+        owners, _, mapped = self.map.lookup_columns(lines)
+        if not mapped.all():
+            raise _Unmapped
+        slices, penalties = self._bc_columns(units, owners)
+        for si, accesses in enumerate(
+                np.bincount(slices, minlength=len(t_bc)).tolist()):
+            t_bc[si] += accesses
+        return list(zip(lines.tolist(), slices.tolist(), penalties))
+
+    def _plan_bitmap_counts(self, compiled: CompiledTrace, info,
+                            plans: List,
+                            batches: Dict[Tuple[int, int], int],
+                            tallies: Dict[str, int]) -> None:
+        """Bitmap Count rows: the begin-map then end-map cache lines of
+        each row's word range, expanded as columns one row block at a
+        time."""
+        rows = np.flatnonzero(compiled.derived_columns()["is_bitmap"])
+        if not len(rows):
+            return
+        ev = compiled.events
+        cyc = self.cyc
+        code_bitmap = PRIMITIVE_TYPE_CODES[Primitive.BITMAP_COUNT]
+        bitmap_base = info.bitmap_base
+        byte_lo = (ev["src"][rows] - info.bitmap_covered_start) \
+            // WORD // 8
+        if self.cpu_side:
+            units = np.zeros(len(rows), dtype=np.int64)
+        else:
+            units, _, mapped = self.map.lookup_columns(
+                bitmap_base + byte_lo)
+            if not mapped.all():
+                raise _Unmapped
+        heads = {}
+        uq, counts = np.unique(units, return_counts=True)
+        for u0, m in zip(uq.tolist(), counts.tolist()):
+            heads[u0] = self._head("bitmap_count", u0, 1)
+            batches[(u0, code_bitmap)] = \
+                batches.get((u0, code_bitmap), 0) + m
+        bits = ev["bits"][rows]
+        idle = bits <= 0
+        if idle.any():
+            table = {u0: head + (("T", cyc),)
+                     for u0, head in heads.items()}
+            for i, u0 in zip(rows[idle].tolist(),
+                             units[idle].tolist()):
+                plans[i] = table[u0]
+            busy = ~idle
+            rows = rows[busy]
+            if not len(rows):
+                return
+            units = units[busy]
+            byte_lo = byte_lo[busy]
+            bits = bits[busy]
+
+        # The scalar unit translates the (constant) map base, so the
+        # owning TLB slice is fixed per trace.
+        owner = 0
+        if self.distributed:
+            cube, _, mapped = self.map.lookup_columns(
+                np.array([bitmap_base], dtype=np.int64))
+            if not mapped[0]:
+                raise _Unmapped
+            owner = int(cube[0])
+        t_tlb = tallies["tlb"]
+        t_rem = tallies["tlb_remote"]
+        tlb_pairs = {}
+        uq, counts = np.unique(units, return_counts=True)
+        for u0, m in zip(uq.tolist(), counts.tolist()):
+            use = self._tlb_use(u0, owner)
+            tlb_pairs[u0] = (use[0], use[1])
+            t_tlb[use[2]] += m
+            if use[3]:
+                t_rem[use[2]] += m
+
+        words = (bits + 63) // 64
+        tails = (words * cyc).tolist()
+        byte_hi = byte_lo + words * WORD
+        line_bytes = self.bcs[0].line_bytes
+        end_map = bitmap_base + info.bitmap_bytes
+        first_b = (bitmap_base + byte_lo) // line_bytes
+        count_b = (bitmap_base + byte_hi - 1) // line_bytes - first_b + 1
+        first_e = (end_map + byte_lo) // line_bytes
+        count_e = (end_map + byte_hi - 1) // line_bytes - first_e + 1
+        counts = count_b + count_e
+        t_bc = tallies["bc_port"]
+        for lo, hi, ends, row_of, pos in _line_blocks(counts):
+            in_b = count_b[lo:hi][row_of]
+            lines = np.where(pos < in_b, first_b[lo:hi][row_of] + pos,
+                             first_e[lo:hi][row_of] + (pos - in_b)) \
+                * line_bytes
+            block_units = units[lo:hi]
+            marks = self._line_tuples(lines, block_units[row_of], t_bc)
+            start = 0
+            for i, u0, tail, end in zip(rows[lo:hi].tolist(),
+                                        block_units.tolist(),
+                                        tails[lo:hi], ends.tolist()):
+                plans[i] = heads[u0] + (("B", tlb_pairs[u0],
+                                         tuple(marks[start:end]), tail),)
+                start = end
 
     def _plan_events(self, compiled: CompiledTrace, info,
                      indices, plans: List, acc: Dict[int, List[int]],
@@ -1245,12 +1558,13 @@ class CharonBatchedKernel:
 
         Plans ``indices`` exactly as the event-by-event offload path
         would, mutating the shared accumulators.  The vectorized stage
-        1 routes here only the rows it cannot group (bitmap counts,
-        marking-phase scans, multi-page ranges) — plus the whole trace
-        when a ProtectionFault must be raised in event order.
+        1 routes here only multi-page copy/search ranges and marking
+        scans whose window hash would overflow int64 — plus the whole
+        trace when a ProtectionFault must be raised in event order.
+        ``tests/test_charon_stage1.py`` holds every other row to it.
         """
         cube_of = self.map.cube_of
-        marking_kind = compiled.kind in ("major", "g1", "concurrent")
+        marking_kind = compiled.kind in _MARKING_KINDS
         covered = info.heap_end - info.bitmap_covered_start
         bc_line = self.bcs[0].line_bytes
         cyc = self.cyc
@@ -1293,7 +1607,6 @@ class CharonBatchedKernel:
                 baddr = info.bitmap_base + bit_index // 8
                 cube = 0 if self.cpu_side else cube_of(baddr)
                 key = ("bitmap_count", cube)
-            pool = self.pool_of[key]
             unit_cube = cube  # units live on their routing cube
 
             if p == code_copy:
@@ -1426,11 +1739,7 @@ class CharonBatchedKernel:
                 if rem:
                     t_rem[si] += 1
             batches[(cube, p)] = batches.get((cube, p), 0) + 1
-            if self.cpu_side:
-                plans[i] = (pool, None, None, ex)
-            else:
-                plans[i] = (pool, self._req_chain[cube],
-                            self._resp_chain[(cube, has_value)], ex)
+            plans[i] = self._entry(key[0], cube, has_value, ex)
 
     def _finish_accounting(self, compiled: CompiledTrace,
                            copy_m: np.ndarray,

@@ -166,7 +166,9 @@ class FastTraceReplayer(TraceReplayer):
                                residual_seconds, host_busy, before)
         host_seconds = perf_counter() - started
         self._note_replay(len(compiled.events), host_seconds,
-                          chunks=kernel.chunks_processed - chunks_before)
+                          chunks=kernel.chunks_processed - chunks_before,
+                          scalar_rows=getattr(kernel, "scalar_rows",
+                                              None))
         eventlog = get_eventlog()
         if eventlog.enabled:
             eventlog.emit(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from time import perf_counter
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.gcalgo.trace import GCTrace, Primitive, TraceEvent
 from repro.obs.eventlog import COLLECTOR_FOR_KIND, get_eventlog
@@ -165,12 +165,15 @@ class TraceReplayer:
     # -- internals -----------------------------------------------------------
 
     def _note_replay(self, events: int, elapsed: float,
-                     chunks: int = 0) -> None:
+                     chunks: int = 0,
+                     scalar_rows: Optional[Dict[str, int]] = None
+                     ) -> None:
         """Record which kernel replayed how much, and how fast.
 
         Feeds the ``replay.kernel_*`` metrics ``repro stats`` reports,
         so a run always shows whether the fast path actually ran (and
-        the CI fast-path-coverage check can fail on silent fallbacks).
+        the CI fast-path-coverage check can fail on silent fallbacks
+        or on stage-1 rows that reached the scalar planner).
         """
         from repro.obs.metrics import global_metrics
 
@@ -187,6 +190,10 @@ class TraceReplayer:
             scope.counter("kernel_chunks",
                           "stage-2 chunks the batched kernels consumed",
                           **labels).add(chunks)
+        for row, count in (scalar_rows or {}).items():
+            scope.counter("kernel_scalar_rows",
+                          "stage-1 rows planned by the scalar planner",
+                          row=row, **labels).add(count)
         if elapsed > 0:
             scope.gauge("kernel_events_per_sec",
                         "replay throughput of the last GC",
