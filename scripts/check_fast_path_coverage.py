@@ -20,7 +20,13 @@ pins the *collect-side* fast path: the script fails if that generation
 recorded zero fast heap-kernel calls, any ``heap.kernel_fallbacks``
 demotion to scalar kernels, or any collector run that took the scalar
 path outright (``heap.kernel_calls`` with ``kernel=scalar``) while the
-default ``fast`` mode was in effect.
+default ``fast`` mode was in effect.  It also captures a reduced
+GraphChi CC and PR run and fails if fewer than
+:data:`MIN_BATCHED_ALLOC_SHARE` of their allocated objects came through
+``MutatorDriver.allocate_batch`` (``heap.kernel_batch_items{op=alloc}``
+over ``run.allocated_objects``): the per-object ``allocate`` path is
+bit-identical, so a mutator loop that slides back onto it costs capture
+time and nothing else would notice.
 
 This pins the support matrix: a change that quietly demotes a platform
 to event-by-event replay turns every trace sweep back into the
@@ -42,6 +48,24 @@ sys.path.insert(0, str(REPO))
 PLATFORMS = ("ideal", "cpu-ddr4", "cpu-hmc", "charon",
              "charon-cpuside", "charon-distributed")
 THREADS = (1, 2, 4, 8)
+#: Least share of a reduced GraphChi capture's objects that must come
+#: through allocate_batch (Records and Messages; measured 0.81-0.83).
+MIN_BATCHED_ALLOC_SHARE = 0.70
+
+
+def batched_alloc_share(workload) -> float:
+    """Run ``workload``; the share of its objects allocated in batches."""
+    from repro.obs.metrics import global_metrics
+
+    def batched() -> float:
+        return sum(sample["value"]
+                   for sample in global_metrics().samples()
+                   if sample["metric"] == "heap.kernel_batch_items"
+                   and sample["labels"].get("op") == "alloc")
+
+    before = batched()
+    run = workload.run()
+    return (batched() - before) / max(run.allocated_objects, 1)
 
 
 def main() -> int:
@@ -51,9 +75,9 @@ def main() -> int:
     from repro.platform.fast_replay import (FastTraceReplayer,
                                             make_replayer)
 
-    from tests.conftest import (TinySpark, make_concurrent_traces,
-                                make_g1_traces, make_mixed_run,
-                                platform_for)
+    from tests.conftest import (TinyGraph, TinyPageRank, TinySpark,
+                                make_concurrent_traces, make_g1_traces,
+                                make_mixed_run, platform_for)
 
     trace_sets = {
         "spark-bs": TinySpark().run().traces,
@@ -95,6 +119,16 @@ def main() -> int:
     if not failures:
         print(f"collect-side kernels: {fast_calls:.0f} fast calls, "
               f"0 fallbacks, 0 scalar collector runs")
+    for workload in (TinyGraph(), TinyPageRank()):
+        share = batched_alloc_share(workload)
+        if share < MIN_BATCHED_ALLOC_SHARE:
+            failures.append(f"{workload.name} (reduced): only "
+                            f"{share:.2f} of allocated objects came "
+                            f"through allocate_batch (need "
+                            f"{MIN_BATCHED_ALLOC_SHARE:.2f})")
+        else:
+            print(f"{workload.name} (reduced): {share:.2f} of objects "
+                  f"allocated in batches")
     for name in PLATFORMS:
         for threads in THREADS:
             platform, _, _ = platform_for(name)

@@ -37,10 +37,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.gcalgo.stack import ObjectStack
-from repro.gcalgo.trace import (FIXED_GC_INSTRUCTIONS, GCTrace,
-                               RESIDUAL_COSTS, chunk_refs)
+from repro.gcalgo.trace import (ARRAY_SCAN_CHUNK, FIXED_GC_INSTRUCTIONS,
+                               GCTrace, RESIDUAL_COSTS, chunk_refs)
 from repro.heap import fast_kernels
 from repro.heap.heap import JavaHeap
+from repro.heap.klass import ARRAY_ELEMENTS_OFFSET
 from repro.heap.object_model import ObjectView
 from repro.obs.tracer import get_tracer
 from repro.units import CACHE_LINE, WORD
@@ -411,7 +412,7 @@ class MajorGC:
         heap = self.heap
         old = heap.layout.old
         ops = fast_kernels.HeapOps(heap)
-        stack: ObjectStack[int] = ObjectStack()
+        stack: List[int] = []
         marked = set()
         live_old: List[LiveRec] = []
         live_young: List[LiveRec] = []
@@ -423,37 +424,55 @@ class MajorGC:
         for addr in heap.roots:
             if addr and addr not in marked:
                 marked.add(addr)
-                stack.push(addr)
+                stack.append(addr)
 
-        pop_cost = RESIDUAL_COSTS["pop"]
-        check_cost = RESIDUAL_COSTS["check_mark"]
-        trivial_cost = RESIDUAL_COSTS["scan_trivial"]
+        # Residual work is tallied locally and added to "mark" once:
+        # the costs are integer-valued floats, so any summation order
+        # gives the same double (see MinorGC._drain_fast).
+        pop, push = stack.pop, stack.append
+        words, base = ops.words, heap.base
+        kinds, offsets = ops.kind, ops.offsets
+        scan_event = trace.scan_push
+        pops = checks = trivial = 0
         old_lo, old_hi = old.start, old.end
         while stack:
-            addr = stack.pop()
-            trace.residual("mark", pop_cost)
+            addr = pop()
+            pops += 1
             kid, length, size = ops.decode(addr)
-            trace.objects_visited += 1
             record = (addr, kid, length, size)
             if old_lo <= addr < old_hi:
                 live_old.append(record)
             else:
                 live_young.append(record)
-            slots = ops.ref_slots(addr, kid, length)
-            if slots:
-                trace.residual("mark", check_cost * len(slots))
+            if kinds[kid] == fast_kernels.KIND_OBJ_ARRAY:
+                first = (addr - base + ARRAY_ELEMENTS_OFFSET) >> 3
+                targets = words[first:first + length].tolist()
+            else:
+                targets = [words[(addr - base + offset) >> 3]
+                           for offset in offsets[kid]]
+            n_slots = len(targets)
+            if n_slots:
+                checks += n_slots
                 pushes = 0
-                for slot in slots:
-                    target = ops.read_word(slot)
+                for target in targets:
                     if target and target not in marked:
                         marked.add(target)
-                        stack.push(target)
+                        push(target)
                         pushes += 1
-                for refs, chunk_pushes in chunk_refs(len(slots),
-                                                     pushes):
-                    trace.scan_push("mark", addr, refs, chunk_pushes)
+                if n_slots <= ARRAY_SCAN_CHUNK:
+                    scan_event("mark", addr, n_slots, pushes)
+                else:
+                    for refs, chunk_pushes in chunk_refs(n_slots,
+                                                         pushes):
+                        scan_event("mark", addr, refs, chunk_pushes)
             else:
-                trace.residual("mark", trivial_cost)
+                trivial += 1
+        if pops:
+            trace.residual(
+                "mark", pops * RESIDUAL_COSTS["pop"]
+                + checks * RESIDUAL_COSTS["check_mark"]
+                + trivial * RESIDUAL_COSTS["scan_trivial"])
+            trace.objects_visited += pops
 
         live_old.sort()
         # Deferred bulk effects: nothing read the bitmaps or header
@@ -542,32 +561,56 @@ class MajorGC:
                 cumulative += region_live[region]
         return dest
 
-    def _new_address_fast(self, trace: GCTrace, phase: str,
-                          region_dest: Dict[int, int], addr: int,
-                          prefix_end: int,
-                          index: "fast_kernels.CoverageIndex") -> int:
-        """:meth:`_new_address` with the O(1) coverage-index query.
+    def _new_addresses_fast(self, trace: GCTrace, phase: str,
+                            region_dest: Dict[int, int],
+                            addrs: np.ndarray, prefix_end: int,
+                            index: "fast_kernels.CoverageIndex"
+                            ) -> Tuple[np.ndarray,
+                                       List[Tuple[int, int,
+                                                  Optional[int]]]]:
+        """:meth:`_new_address` over a batch of old-gen addresses.
 
-        The query-cache bookkeeping (and the ``bits_cached`` field it
-        emits) is preserved verbatim — the *trace* must still describe
-        the software baseline's walk."""
-        old = self.heap.layout.old
-        if addr < prefix_end:
-            trace.residual(phase, RESIDUAL_COSTS["check_mark"])
-            return addr
-        region = (addr - old.start) // REGION_BYTES
-        region_start = old.start + region * REGION_BYTES
-        words = index.live_words(region_start, addr)
-        bits = (addr - region_start) // WORD
-        cached = None
-        last = self._last_query
-        if last is not None and last[0] == region_start \
-                and last[1] <= addr:
-            cached = (addr - last[1]) // WORD
-        self._last_query = (region_start, addr)
-        trace.bitmap_count(phase, region_start, bits=bits,
-                           bits_cached=cached)
-        return old.start + (region_dest[region] + words) * WORD
+        Returns the post-compaction addresses and, per address past the
+        dense prefix (in order), its Bitmap Count event fields
+        ``(region_start, bits, bits_cached)`` for the caller to emit;
+        the prefix addresses' check residuals are charged here.  The
+        query-cache bookkeeping threads through the batch exactly as
+        the per-address calls would — the *trace* must still describe
+        the software baseline's walk — with the coverage index's
+        vectorized ``live_upto_batch`` answering the queries.
+        """
+        old_start = self.heap.layout.old.start
+        new_addrs = addrs.copy()
+        queried = np.flatnonzero(addrs >= prefix_end)
+        n_prefix = len(addrs) - len(queried)
+        if n_prefix:
+            trace.residual(phase,
+                           RESIDUAL_COSTS["check_mark"] * n_prefix)
+        if not queried.shape[0]:
+            return new_addrs, []
+        query = addrs[queried]
+        regions = (query - old_start) // REGION_BYTES
+        starts = old_start + regions * REGION_BYTES
+        words = index.live_upto_batch(query) \
+            - index.live_upto_batch(starts)
+        dest = np.fromiter((region_dest[region]
+                            for region in range(int(regions.max()) + 1)),
+                           dtype=np.int64)
+        new_addrs[queried] = old_start + (dest[regions] + words) * WORD
+        # The software query cache: a query hits when the previous one
+        # was in the same region and not past this address.
+        last_start, last_addr = self._last_query or (-1, 0)
+        prev_starts = np.concatenate(([last_start], starts[:-1]))
+        prev_addrs = np.concatenate(([last_addr], query[:-1]))
+        hits = ((prev_starts == starts)
+                & (prev_addrs <= query)).tolist()
+        deltas = ((query - prev_addrs) // WORD).tolist()
+        self._last_query = (int(starts[-1]), int(query[-1]))
+        starts_list = starts.tolist()
+        bits = ((query - starts) // WORD).tolist()
+        return new_addrs, [
+            (starts_list[i], bits[i], deltas[i] if hits[i] else None)
+            for i in range(len(bits))]
 
     def _adjust_pointers_fast(self, trace: GCTrace,
                               live_old: List[LiveRec],
@@ -578,15 +621,21 @@ class MajorGC:
                               ) -> None:
         heap = self.heap
         layout = heap.layout
+        old = layout.old
         n_roots = len(heap.roots)
         if n_roots:
             trace.residual("adjust",
                            RESIDUAL_COSTS["forward_update"] * n_roots)
-        for position, addr in enumerate(heap.roots):
-            if addr and layout.in_old(addr):
-                heap.roots[position] = self._new_address_fast(
-                    trace, "adjust", region_dest, addr, prefix_end,
-                    index)
+            roots = np.asarray(heap.roots, dtype=np.int64)
+            positions = np.flatnonzero((roots >= old.start)
+                                       & (roots < old.end))
+            new_roots, events = self._new_addresses_fast(
+                trace, "adjust", region_dest, roots[positions],
+                prefix_end, index)
+            self._emit_bitmap_counts(trace, "adjust", events)
+            for position, addr in zip(positions.tolist(),
+                                      new_roots.tolist()):
+                heap.roots[position] = addr
         all_live = live_old + live_young
         if not all_live:
             return
@@ -598,29 +647,30 @@ class MajorGC:
             trace.residual("adjust",
                            RESIDUAL_COSTS["check_mark"] * total_slots)
         # Every slot was read exactly once above, and each write below
-        # goes only to the slot just read — gather-then-loop is exact.
-        old_refs = ((batch.targets >= layout.old.start)
-                    & (batch.targets < layout.old.end))
-        slots = batch.slots
-        targets = batch.targets
-        changed_slots: List[int] = []
-        changed_values: List[int] = []
-        for position in np.flatnonzero(old_refs).tolist():
-            target = int(targets[position])
-            new_target = self._new_address_fast(
-                trace, "adjust", region_dest, target, prefix_end,
-                index)
-            if new_target != target:
-                changed_slots.append(int(slots[position]))
-                changed_values.append(new_target)
-        if changed_slots:
+        # goes only to the slot just read — gather-then-scatter is exact.
+        old_refs = np.flatnonzero((batch.targets >= old.start)
+                                  & (batch.targets < old.end))
+        targets = batch.targets[old_refs]
+        new_targets, events = self._new_addresses_fast(
+            trace, "adjust", region_dest, targets, prefix_end, index)
+        self._emit_bitmap_counts(trace, "adjust", events)
+        changed = np.flatnonzero(new_targets != targets)
+        if changed.shape[0]:
             trace.residual(
                 "adjust",
-                RESIDUAL_COSTS["forward_update"] * len(changed_slots))
-            word_indices = (np.asarray(changed_slots, dtype=np.int64)
+                RESIDUAL_COSTS["forward_update"] * changed.shape[0])
+            word_indices = (batch.slots[old_refs[changed]]
                             - heap.base) // WORD
-            heap.words[word_indices] = np.asarray(
-                changed_values, dtype=np.uint64)
+            heap.words[word_indices] = \
+                new_targets[changed].astype(np.uint64)
+
+    @staticmethod
+    def _emit_bitmap_counts(trace: GCTrace, phase: str,
+                            events: List[Tuple[int, int,
+                                               Optional[int]]]) -> None:
+        for region_start, bits, cached in events:
+            trace.bitmap_count(phase, region_start, bits=bits,
+                               bits_cached=cached)
 
     def _compact_fast(self, trace: GCTrace, live_old: List[LiveRec],
                       region_dest: Dict[int, int], prefix_end: int,
@@ -650,9 +700,15 @@ class MajorGC:
 
         dst_addrs: List[int] = [rec[0] for rec in
                                 live_old[:moved_from]]
-        for addr, _, _, size in live_old[moved_from:]:
-            dst = self._new_address_fast(trace, "compact", region_dest,
-                                         addr, prefix_end, index)
+        moved = live_old[moved_from:]
+        dsts, events = self._new_addresses_fast(
+            trace, "compact", region_dest,
+            np.asarray([rec[0] for rec in moved], dtype=np.int64),
+            prefix_end, index)
+        for (addr, _, _, size), dst, (region_start, bits, cached) in \
+                zip(moved, dsts.tolist(), events):
+            trace.bitmap_count("compact", region_start, bits=bits,
+                               bits_cached=cached)
             if dst != addr:
                 if run_len and addr == run_src + run_len \
                         and dst == run_dst + run_len:

@@ -23,13 +23,19 @@ import numpy as np
 
 from repro.errors import OutOfMemoryError
 from repro.gcalgo.stack import ObjectStack
-from repro.gcalgo.trace import (FIXED_GC_INSTRUCTIONS, GCTrace,
-                                RESIDUAL_COSTS, chunk_refs)
+from repro.gcalgo.trace import (ARRAY_SCAN_CHUNK, FIXED_GC_INSTRUCTIONS,
+                                GCTrace, RESIDUAL_COSTS, chunk_refs)
 from repro.heap import fast_kernels
+from repro.heap.card_table import DIRTY
+from repro.heap.fast_kernels import (KIND_INSTANCE, KIND_OBJ_ARRAY,
+                                     KIND_TYPE_ARRAY)
 from repro.heap.heap import JavaHeap
-from repro.heap.object_model import MarkWord
+from repro.heap.klass import ARRAY_ELEMENTS_OFFSET
+from repro.heap.object_model import (AGE_MASK, AGE_SHIFT, FORWARD_SHIFT,
+                                     MAX_AGE, STATE_FORWARDED, STATE_MASK,
+                                     STATE_NORMAL, MarkWord)
 from repro.obs.tracer import get_tracer
-from repro.units import CACHE_LINE
+from repro.units import CACHE_LINE, WORD
 
 
 class MinorGC:
@@ -138,39 +144,147 @@ class MinorGC:
                            RESIDUAL_COSTS["forward_update"])
 
     def _drain_fast(self, trace: GCTrace, stack: ObjectStack) -> None:
-        """Drain with raw-word decode — same loop, O(1) per step."""
+        """:meth:`_drain` with :meth:`_evacuate` inlined, decoding raw
+        header words straight from the heap's u64 memoryview.
+
+        Residual work is tallied in local counters and added to
+        ``"drain"`` once, after the loop: every residual cost is an
+        integer-valued float, so the total is the same double in any
+        summation order, and flushing only when the loop ran gives the
+        key the same position in ``trace.residuals`` as the first pop
+        would.
+        """
+        items = stack.items
+        if not items:
+            return
         heap = self.heap
         layout = heap.layout
         ops = fast_kernels.HeapOps(heap)
+        words, base = ops.words, heap.base
+        kinds, sizes, offsets = ops.kind, ops.size, ops.offsets
+        n_kinds = ops.n_kinds
+        buffer = memoryview(heap.buffer)
         roots = heap.roots
+        hooked = bool(heap.ref_write_hooks)
+        card_table = heap.card_table
+        cards = memoryview(card_table.bytes)
+        card_lo, card_bytes = card_table.covered_start, card_table.card_bytes
         eden, from_space = layout.eden, layout.survivor_from
+        to_space, old = layout.survivor_to, layout.old
         e_lo, e_hi = eden.start, eden.end
         f_lo, f_hi = from_space.start, from_space.end
-        pop_cost = RESIDUAL_COSTS["pop"]
-        check_cost = RESIDUAL_COSTS["check_mark"]
-        forward_cost = RESIDUAL_COSTS["forward_update"]
-        while stack:
-            slot = stack.pop()
-            trace.residual("drain", pop_cost)
-            ref = roots[-slot - 1] if slot < 0 else ops.read_word(slot)
+        o_lo, o_hi = old.start, old.end
+        young_lo, young_hi = eden.start, layout.survivor_b.end
+        threshold = self.tenuring_threshold
+        copy_event, scan_event = trace.copy, trace.scan_push
+        pop, push = items.pop, items.append
+        # every evacuated object is visited, allocated and copied once
+        pops = checks = copied = pushes_total = trivial = 0
+        promoted = bytes_copied = 0
+        while items:
+            slot = pop()
+            pops += 1
+            ref = roots[-slot - 1] if slot < 0 \
+                else words[(slot - base) >> 3]
             if ref == 0:
                 continue
             if not (e_lo <= ref < e_hi or f_lo <= ref < f_hi):
                 # null, old, or already-evacuated To-space object
                 continue
-            mark = MarkWord(ops.read_word(ref))
-            trace.residual("drain", check_cost, CACHE_LINE)
-            if mark.is_forwarded:
-                new_addr = mark.forwarding_address
+            header = (ref - base) >> 3
+            mark = words[header]
+            checks += 1
+            if mark & STATE_MASK == STATE_FORWARDED:
+                new_addr = (mark >> FORWARD_SHIFT) << 3
             else:
-                new_addr = self._evacuate_fast(ref, mark, trace, stack,
-                                               ops)
-                trace.objects_visited += 1
+                # Evacuate: decode, copy to To (or promote), forward,
+                # then Scan&Push the copy's references.
+                kid = words[header + 1]
+                kind = kinds[kid] if 0 < kid < n_kinds else -1
+                if kind == KIND_INSTANCE:
+                    length, size = 0, sizes[kid]
+                elif kind == KIND_OBJ_ARRAY:
+                    length = words[header + 2]
+                    size = ARRAY_ELEMENTS_OFFSET + length * WORD
+                elif kind == KIND_TYPE_ARRAY:
+                    length = words[header + 2]
+                    size = (ARRAY_ELEMENTS_OFFSET
+                            + (length + WORD - 1) // WORD * WORD)
+                else:
+                    ops.decode(ref)  # raises the scalar path's error
+                age = min(((mark & AGE_MASK) >> AGE_SHIFT) + 1, MAX_AGE)
+                if age >= threshold \
+                        or to_space.top + size > to_space.end:
+                    # aged out, or survivor overflow promotes early
+                    new_addr = old.allocate(size)
+                    new_mark = STATE_NORMAL
+                    promoted += 1
+                else:
+                    new_addr = to_space.allocate(size)
+                    new_mark = STATE_NORMAL | (age << AGE_SHIFT)
+                src_off, dst_off = ref - base, new_addr - base
+                buffer[dst_off:dst_off + size] = \
+                    buffer[src_off:src_off + size]
+                copy_event("evacuate", ref, new_addr, size)
+                copied += 1
+                bytes_copied += size
+                words[dst_off >> 3] = new_mark
+                # MarkWord.forwarded_to stays the one forwarding encoder
+                # (once per copy; visits decode the raw word).
+                words[header] = MarkWord(mark).forwarded_to(new_addr).raw
+                pushes = 0
+                if kind == KIND_OBJ_ARRAY:
+                    n_slots = length
+                    first = (dst_off >> 3) + ARRAY_ELEMENTS_OFFSET // WORD
+                    target_slot = new_addr + ARRAY_ELEMENTS_OFFSET
+                    for target in words[first:first + length].tolist():
+                        if target and young_lo <= target < young_hi:
+                            push(target_slot)
+                            pushes += 1
+                        target_slot += WORD
+                elif kind == KIND_INSTANCE:
+                    slot_offsets = offsets[kid]
+                    n_slots = len(slot_offsets)
+                    for offset in slot_offsets:
+                        target = words[(dst_off + offset) >> 3]
+                        if target and young_lo <= target < young_hi:
+                            push(new_addr + offset)
+                            pushes += 1
+                else:
+                    n_slots = 0
+                if n_slots:
+                    pushes_total += pushes
+                    if n_slots <= ARRAY_SCAN_CHUNK:
+                        scan_event("evacuate", new_addr, n_slots, pushes)
+                    else:
+                        for refs, chunk_pushes in chunk_refs(n_slots,
+                                                             pushes):
+                            scan_event("evacuate", new_addr, refs,
+                                       chunk_pushes)
+                else:
+                    trivial += 1
             if slot < 0:
                 roots[-slot - 1] = new_addr
-            else:
+            elif hooked:
                 heap.store_ref(slot, new_addr)
-            trace.residual("drain", forward_cost)
+            else:
+                # store_ref's write barrier, inlined
+                words[(slot - base) >> 3] = new_addr
+                if o_lo <= slot < o_hi and young_lo <= new_addr < young_hi:
+                    cards[(slot - card_lo) // card_bytes] = DIRTY
+        trace.residual(
+            "drain",
+            pops * RESIDUAL_COSTS["pop"]
+            + checks * (RESIDUAL_COSTS["check_mark"]
+                        + RESIDUAL_COSTS["forward_update"])
+            + copied * RESIDUAL_COSTS["allocate"]
+            + pushes_total * RESIDUAL_COSTS["push"]
+            + trivial * RESIDUAL_COSTS["scan_trivial"],
+            CACHE_LINE * checks)
+        trace.objects_visited += copied
+        trace.objects_promoted += promoted
+        trace.objects_copied += copied
+        trace.bytes_copied += bytes_copied
 
     # -- internals ------------------------------------------------------------
 
@@ -332,47 +446,4 @@ class MinorGC:
         # A promoted object whose young references have not been updated
         # yet keeps its card dirty through the write barrier when the
         # drain updates each pushed slot.
-        return dst
-
-    def _evacuate_fast(self, addr: int, mark: MarkWord, trace: GCTrace,
-                       stack: ObjectStack,
-                       ops: "fast_kernels.HeapOps") -> int:
-        """:meth:`_evacuate` with raw-word header decode."""
-        heap = self.heap
-        layout = heap.layout
-        kid, length, size = ops.decode(addr)
-        age = min(mark.age + 1, 15)
-        promote = age >= self.tenuring_threshold
-        if not promote and not layout.survivor_to.can_allocate(size):
-            promote = True  # survivor overflow promotes early
-        if promote:
-            dst = layout.old.allocate(size)
-            new_mark = MarkWord.fresh()
-            trace.objects_promoted += 1
-        else:
-            dst = layout.survivor_to.allocate(size)
-            new_mark = MarkWord.fresh().with_age(age)
-        trace.residual("drain", RESIDUAL_COSTS["allocate"])
-
-        heap.copy_bytes(addr, dst, size)
-        trace.copy("evacuate", addr, dst, size)
-        trace.objects_copied += 1
-        trace.bytes_copied += size
-        ops.write_word(dst, new_mark.raw)
-        ops.write_word(addr, mark.forwarded_to(dst).raw)
-
-        slots = ops.ref_slots(dst, kid, length)
-        pushes = 0
-        young_lo, young_hi = layout.eden.start, layout.survivor_b.end
-        for slot in slots:
-            target = ops.read_word(slot)
-            if target and young_lo <= target < young_hi:
-                stack.push(slot)
-                pushes += 1
-                trace.residual("drain", RESIDUAL_COSTS["push"])
-        if slots:
-            for refs, chunk_pushes in chunk_refs(len(slots), pushes):
-                trace.scan_push("evacuate", dst, refs, chunk_pushes)
-        else:
-            trace.residual("drain", RESIDUAL_COSTS["scan_trivial"])
         return dst

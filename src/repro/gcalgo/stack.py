@@ -32,6 +32,12 @@ class ObjectStack(Generic[T]):
         self.pops += 1
         return self._items.pop()
 
+    @property
+    def items(self) -> List[T]:
+        """The backing list, for hot drain loops that push and pop it
+        directly (bypassing the push/pop/depth statistics)."""
+        return self._items
+
     def __len__(self) -> int:
         return len(self._items)
 

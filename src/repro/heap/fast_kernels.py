@@ -487,6 +487,9 @@ class CoverageIndex:
     def live_upto_batch(self, addrs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`live_upto` over an address batch."""
         record_call("bitmap_count", items=len(addrs))
+        if len(addrs) and (int(addrs.min()) < self.covered_start
+                           or int(addrs.max()) > self.covered_end):
+            raise ConfigError("address batch outside bitmap coverage")
         bits = (addrs - self.covered_start) // WORD
         words = bits >> 6
         rems = (bits & 63).astype(np.uint64)
@@ -537,7 +540,9 @@ class HeapOps:
     Stack drains (scavenge, marking, G1 evacuation) are graph
     traversals whose order defines the trace, so they cannot batch —
     but they can skip ``object_at``'s ObjectView construction and read
-    headers straight out of the u64 buffer via the layout tables.
+    headers straight out of the heap's u64 memoryview
+    (:attr:`~repro.heap.heap.JavaHeap.word_view`, plain ints per index)
+    via the layout tables.
     """
 
     __slots__ = ("words", "base", "kind", "size", "offsets",
@@ -545,7 +550,7 @@ class HeapOps:
 
     def __init__(self, heap) -> None:
         layouts = layouts_for(heap.klasses)
-        self.words = heap.words
+        self.words = heap.word_view
         self.base = heap.base
         self.kind = layouts.kind_list
         self.size = layouts.size_list
@@ -553,16 +558,12 @@ class HeapOps:
         self.n_kinds = len(layouts.kind_list)
 
     def read_word(self, addr: int) -> int:
-        return int(self.words[(addr - self.base) // WORD])
-
-    def write_word(self, addr: int, value: int) -> None:
-        self.words[(addr - self.base) // WORD] = np.uint64(
-            value & _MASK64)
+        return self.words[(addr - self.base) // WORD]
 
     def decode(self, addr: int) -> Tuple[int, int, int]:
         """``(klass_id, length, size_bytes)`` of the object at ``addr``."""
         base_word = (addr - self.base) // WORD
-        kid = int(self.words[base_word + 1])
+        kid = self.words[base_word + 1]
         kind = self.kind[kid] if 0 < kid < self.n_kinds else -1
         if kind < 0:
             if kid == 0:
@@ -571,7 +572,7 @@ class HeapOps:
                 f"garbage klass id {kid:#x} at {addr:#x}")
         if kind == KIND_INSTANCE:
             return kid, 0, self.size[kid]
-        length = int(self.words[base_word + 2])
+        length = self.words[base_word + 2]
         if kind == KIND_OBJ_ARRAY:
             return kid, length, ARRAY_ELEMENTS_OFFSET + length * WORD
         return kid, length, (ARRAY_ELEMENTS_OFFSET

@@ -29,6 +29,8 @@ from repro.heap.object_model import MarkWord, ObjectView
 from repro.heap.spaces import HeapLayout, Space
 from repro.units import WORD, align_up
 
+_MASK64 = (1 << 64) - 1
+
 
 class JavaHeap:
     """A generational heap with real object storage."""
@@ -42,6 +44,10 @@ class JavaHeap:
         size = self.layout.heap_end - self.layout.heap_start
         self.buffer = allocate(size, dtype=np.uint8)
         self._u64 = self.buffer.view(np.uint64)
+        #: the same u64 words as a memoryview: indexing it yields plain
+        #: ints, several times cheaper per access than numpy scalars
+        #: (the per-word paths use it; batched kernels use :attr:`words`).
+        self.word_view = memoryview(self._u64)
         # Metadata regions sit above the heap in the virtual address
         # space (their *contents* live in dedicated structures; the
         # addresses are what the traffic models see).  The base is
@@ -99,12 +105,12 @@ class JavaHeap:
     def read_u64(self, addr: int) -> int:
         if addr % WORD:
             raise InvalidObjectError(f"unaligned u64 read at {addr:#x}")
-        return int(self._u64[self._index(addr) // WORD])
+        return self.word_view[self._index(addr) // WORD]
 
     def write_u64(self, addr: int, value: int) -> None:
         if addr % WORD:
             raise InvalidObjectError(f"unaligned u64 write at {addr:#x}")
-        self._u64[self._index(addr) // WORD] = np.uint64(value & (2**64 - 1))
+        self.word_view[self._index(addr) // WORD] = value & _MASK64
 
     def read_bytes(self, addr: int, size: int) -> bytes:
         start = self._index(addr)
@@ -232,6 +238,66 @@ class JavaHeap:
         if target and self.layout.in_old(slot_addr) \
                 and self.layout.in_young(target):
             self.card_table.dirty(slot_addr)
+
+    def store_refs(self, slots, targets) -> None:
+        """Batched :meth:`store_ref`: store ``targets[i]`` at ``slots[i]``.
+
+        Leaves the same words and card bytes as calling :meth:`store_ref`
+        per pair in order (a repeated slot keeps its last target), and
+        raises the same exception at the first unaligned or out-of-heap
+        slot after storing the pairs before it.  With
+        :attr:`ref_write_hooks` installed it *is* that per-pair loop, so
+        the hooks see every store in order.
+        """
+        slots = np.asarray(slots, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        if self.ref_write_hooks:
+            for slot, target in zip(slots.tolist(), targets.tolist()):
+                self.store_ref(slot, target)
+            return
+        offsets = slots - self.base
+        bad = np.flatnonzero((slots % WORD != 0) | (offsets < 0)
+                             | (offsets >= self.buffer.shape[0]))
+        if bad.shape[0]:
+            # Store the good prefix, then go sequential from the first
+            # bad slot so store_ref raises exactly as the loop would.
+            first = int(bad[0])
+            self.store_refs(slots[:first], targets[:first])
+            for slot, target in zip(slots[first:].tolist(),
+                                    targets[first:].tolist()):
+                self.store_ref(slot, target)
+            return
+        # Fancy-index assignment writes in index order, so the last
+        # store to a repeated slot wins, as in the sequential loop.
+        self._u64[offsets // WORD] = targets.astype(np.uint64)
+        layout = self.layout
+        barrier = ((targets != 0)
+                   & (slots >= layout.old.start) & (slots < layout.old.end)
+                   & (targets >= layout.eden.start)
+                   & (targets < layout.survivor_b.end))
+        self.card_table.dirty_slots(slots[barrier])
+
+    def array_slots(self, array_addr: int, indices) -> np.ndarray:
+        """Slot addresses of objArray elements ``indices`` (int64).
+
+        The batched twin of :meth:`array_store`'s checks: the array must
+        be an objArray and every index within its length.
+        """
+        view = self.object_at(array_addr)
+        if view.klass.kind is not KlassKind.OBJ_ARRAY:
+            raise ConfigError("array_slots targets objArrays")
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.shape[0] and (int(indices.min()) < 0 or
+                                 int(indices.max()) >= (view.length or 0)):
+            raise ConfigError(f"array index out of bounds for length "
+                              f"{view.length}")
+        return array_addr + (ARRAY_LENGTH_OFFSET + WORD) + indices * WORD
+
+    def array_elements(self, array_addr: int, indices) -> np.ndarray:
+        """Load objArray elements ``indices`` at once (batched
+        :meth:`array_load`, bounds-checked like it)."""
+        slots = self.array_slots(array_addr, indices)
+        return self._u64[(slots - self.base) // WORD].astype(np.int64)
 
     def set_field(self, view: ObjectView, ref_index: int,
                   target: int) -> None:

@@ -29,13 +29,15 @@ from repro.heap.klass import (ARRAY_LENGTH_OFFSET, KlassDescriptor, KlassKind,
                               KlassTable)
 from repro.units import WORD
 
-_STATE_MASK = 0b11
-_STATE_NORMAL = 0b01
-_STATE_FORWARDED = 0b11
-_AGE_SHIFT = 2
-_AGE_MASK = 0b1111 << _AGE_SHIFT
-_MARK_BIT = 1 << 6
-_FORWARD_SHIFT = 8
+#: Raw encoding constants (public for the drain loops that decode mark
+#: words in place instead of building a :class:`MarkWord` per visit).
+STATE_MASK = 0b11
+STATE_NORMAL = 0b01
+STATE_FORWARDED = 0b11
+AGE_SHIFT = 2
+AGE_MASK = 0b1111 << AGE_SHIFT
+MARK_BIT = 1 << 6
+FORWARD_SHIFT = 8
 MAX_AGE = 15
 
 
@@ -47,44 +49,44 @@ class MarkWord:
 
     @staticmethod
     def fresh() -> "MarkWord":
-        return MarkWord(_STATE_NORMAL)
+        return MarkWord(STATE_NORMAL)
 
     @property
     def is_forwarded(self) -> bool:
-        return (self.raw & _STATE_MASK) == _STATE_FORWARDED
+        return (self.raw & STATE_MASK) == STATE_FORWARDED
 
     @property
     def forwarding_address(self) -> int:
         if not self.is_forwarded:
             raise InvalidObjectError("mark word is not forwarded")
-        return (self.raw >> _FORWARD_SHIFT) << 3
+        return (self.raw >> FORWARD_SHIFT) << 3
 
     @property
     def age(self) -> int:
-        return (self.raw & _AGE_MASK) >> _AGE_SHIFT
+        return (self.raw & AGE_MASK) >> AGE_SHIFT
 
     @property
     def is_marked(self) -> bool:
-        return bool(self.raw & _MARK_BIT)
+        return bool(self.raw & MARK_BIT)
 
     def forwarded_to(self, addr: int) -> "MarkWord":
         if addr % 8:
             raise InvalidObjectError("forwarding target must be 8-aligned")
-        return MarkWord(_STATE_FORWARDED | ((addr >> 3) << _FORWARD_SHIFT))
+        return MarkWord(STATE_FORWARDED | ((addr >> 3) << FORWARD_SHIFT))
 
     def with_age(self, age: int) -> "MarkWord":
         if not 0 <= age <= MAX_AGE:
             raise InvalidObjectError(f"age {age} out of range")
-        return MarkWord((self.raw & ~_AGE_MASK) | (age << _AGE_SHIFT))
+        return MarkWord((self.raw & ~AGE_MASK) | (age << AGE_SHIFT))
 
     def aged(self) -> "MarkWord":
         return self.with_age(min(MAX_AGE, self.age + 1))
 
     def marked(self) -> "MarkWord":
-        return MarkWord(self.raw | _MARK_BIT)
+        return MarkWord(self.raw | MARK_BIT)
 
     def unmarked(self) -> "MarkWord":
-        return MarkWord(self.raw & ~_MARK_BIT)
+        return MarkWord(self.raw & ~MARK_BIT)
 
 
 @dataclass

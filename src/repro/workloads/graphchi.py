@@ -16,9 +16,13 @@ the long-lived, pointer-rich old generation the paper describes.
 
 from __future__ import annotations
 
+from typing import List
+
+import numpy as np
+
 from repro.units import KB
 from repro.workloads.base import Workload
-from repro.workloads.mutator import MutatorDriver
+from repro.workloads.mutator import Handle, MutatorDriver
 from repro.workloads.rmat import adjacency_lists, generate_rmat
 
 
@@ -92,9 +96,9 @@ class GraphWorkload(Workload):
             vertex_addr = heap.array_load(self.vertex_table.addr,
                                           vertex_id)
             adj_addr = heap.get_field(heap.object_at(vertex_addr), 1)
-            for slot, neighbor in enumerate(neighbors):
-                target = heap.array_load(self.vertex_table.addr, neighbor)
-                heap.array_store(adj_addr, slot, target)
+            heap.store_refs(
+                heap.array_slots(adj_addr, np.arange(len(neighbors))),
+                heap.array_elements(self.vertex_table.addr, neighbors))
         self._message_windows = []
         # Result history ring: one objArray per remembered iteration.
         self.history = [
@@ -127,13 +131,9 @@ class GraphWorkload(Workload):
                 data = driver.allocate("typeArray",
                                        self.edge_chunk_bytes)
                 heap.array_store(chunk_ring.addr, chunk, data.addr)
-            for slot in range(self.messages_per_shard):
-                message = driver.allocate("Message")
-                target_id = (base + slot * step) % self.n_vertices
-                target = heap.array_load(self.vertex_table.addr,
-                                         target_id)
-                heap.set_field(message, 0, target)
-                heap.array_store(message_table.addr, slot, message.addr)
+            slots = np.arange(self.messages_per_shard)
+            self._allocate_linked(driver, "Message", message_table,
+                                  (base + slots * step) % self.n_vertices)
             # Messages and edge chunks stay in flight for a window of
             # shards (the sliding window), surviving scavenges and
             # feeding the premature-promotion churn real GraphChi runs
@@ -151,14 +151,52 @@ class GraphWorkload(Workload):
         Stores into the (old) history array dirty cards, and keeping
         ``history_iterations`` of results alive drives promotions.
         """
-        heap = driver.heap
         ring = self.history[iteration % self.history_iterations]
         count = int(self.n_vertices * fraction)
-        for vertex_id in range(count):
-            result = driver.allocate("Record")
-            target = heap.array_load(self.vertex_table.addr, vertex_id)
-            heap.set_field(result, 0, target)
-            heap.array_store(ring.addr, vertex_id, result.addr)
+        self._allocate_linked(driver, "Record", ring, np.arange(count))
+
+    def _allocate_linked(self, driver: MutatorDriver, klass_name: str,
+                         table: Handle, vertex_ids: np.ndarray) -> None:
+        """Allocate one ``klass_name`` object per entry of ``vertex_ids``,
+        point its first reference field at that vertex and store object
+        ``i`` into ``table[i]``.
+
+        Byte- and trace-identical to the per-object loop (allocate, load
+        the vertex, ``set_field``, ``array_store``), which still runs for
+        single-object chunks; every larger GC-free allocation chunk does
+        one vertex-table gather and one
+        :meth:`~repro.heap.heap.JavaHeap.store_refs` whose pairs keep the
+        loop's store order, so installed write hooks see the same calls.
+        """
+        heap = driver.heap
+        field = heap.klasses.by_name(klass_name).reference_offsets()[0]
+        stored = 0
+
+        def sink(addrs: List[int]) -> None:
+            nonlocal stored
+            if len(addrs) == 1:
+                # allocate_batch's per-object path (scalar kernels, step
+                # hooks, a GC at the chunk edge): the plain loop body.
+                target = heap.array_load(self.vertex_table.addr,
+                                         int(vertex_ids[stored]))
+                heap.store_ref(addrs[0] + field, target)
+                heap.array_store(table.addr, stored, addrs[0])
+                stored += 1
+                return
+            objects = np.asarray(addrs, dtype=np.int64)
+            done = stored + len(addrs)
+            slots = np.empty(2 * len(addrs), dtype=np.int64)
+            targets = np.empty_like(slots)
+            slots[0::2] = objects + field
+            targets[0::2] = heap.array_elements(self.vertex_table.addr,
+                                                vertex_ids[stored:done])
+            slots[1::2] = heap.array_slots(table.addr,
+                                           np.arange(stored, done))
+            targets[1::2] = objects
+            heap.store_refs(slots, targets)
+            stored = done
+
+        driver.allocate_batch(klass_name, len(vertex_ids), sink=sink)
 
 
 class ConnectedComponents(GraphWorkload):

@@ -179,6 +179,8 @@ class MutatorDriver:
         object, between chunks).  ``sink`` receives each chunk's
         addresses *before* the next chunk can trigger a collection, so
         it must anchor them (handles or heap stores) before returning.
+        With :attr:`step_hooks` installed every object goes through
+        :meth:`allocate`, so the hooks still poll once per allocation.
         """
         if count <= 0:
             return 0
@@ -187,7 +189,8 @@ class MutatorDriver:
         size = align_up(klass.instance_bytes(length), 8)
         eden = heap.layout.eden
         large = size > eden.capacity // self.LARGE_OBJECT_EDEN_FRACTION
-        if large or not fast_kernels.fast_enabled(heap):
+        if large or self.step_hooks \
+                or not fast_kernels.fast_enabled(heap):
             for _ in range(count):
                 view = self.allocate(klass_name, length=length)
                 if sink is not None:

@@ -9,7 +9,7 @@ from repro.heap.heap import JavaHeap
 from repro.heap.klass import standard_klass_table
 from repro.platform.factory import build_platform, build_vm
 from repro.workloads.base import workload_klasses
-from repro.workloads.graphchi import ConnectedComponents
+from repro.workloads.graphchi import ConnectedComponents, PageRank
 from repro.workloads.mutator import MutatorDriver
 from repro.workloads.spark import BayesianClassifier
 
@@ -68,6 +68,24 @@ class TinyGraph(ConnectedComponents):
     edge_chunks_per_shard = 6
     edge_chunk_bytes = 16 * 1024
     messages_per_shard = 384
+
+    @property
+    def default_heap_bytes(self) -> int:
+        return SMALL_HEAP_BYTES
+
+
+class TinyPageRank(PageRank):
+    """A shrunken PageRank (TinyGraph's graph and shard shape)."""
+
+    name = "graphchi-pr"
+    rmat_scale = TinyGraph.rmat_scale
+    edge_factor = TinyGraph.edge_factor
+    iterations = 8
+    shards = TinyGraph.shards
+    shard_buffer_bytes = TinyGraph.shard_buffer_bytes
+    edge_chunks_per_shard = TinyGraph.edge_chunks_per_shard
+    edge_chunk_bytes = TinyGraph.edge_chunk_bytes
+    messages_per_shard = 256
 
     @property
     def default_heap_bytes(self) -> int:

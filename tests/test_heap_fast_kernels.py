@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ConfigError
 from repro.fuzz.differential import compare_kernel_modes
 from repro.heap import fast_kernels
 from repro.heap.card_table import CardTable
@@ -100,6 +101,20 @@ class TestCoverageIndex:
                 assert index.live_words(lo * WORD, hi * WORD) \
                     == bitmaps.live_words_in_range_fast(
                         lo * WORD, hi * WORD)
+
+    @SETTINGS
+    @given(layouts)
+    def test_batch_matches_live_upto(self, case):
+        """MajorGC's batched forwarding relies on it, every word
+        boundary of the covered range included."""
+        layout, _, _ = case
+        bitmaps, _, total_words = build_bitmaps(layout)
+        index = CoverageIndex(bitmaps)
+        addrs = np.arange(total_words + 1, dtype=np.int64) * WORD
+        assert index.live_upto_batch(addrs).tolist() \
+            == [index.live_upto(int(addr)) for addr in addrs]
+        with pytest.raises(ConfigError):
+            index.live_upto_batch(addrs + WORD)
 
 
 class TestBulkBitmapWrites:
