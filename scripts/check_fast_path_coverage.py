@@ -4,13 +4,11 @@
 Replays the bundled test traces — the TinySpark run plus the mixed
 minor/major/sweep and G1 fixture traces — on every platform
 configuration (the five named platforms plus ``charon --distributed``)
-through ``make_replayer`` in auto mode, then fails if
+at each of the 1/2/4/8 GC-thread counts the paper sweeps through
+``make_replayer``'s default fast mode, then fails if
 
-* any platform silently fell back to the event-by-event replayer
-  (the ``replay.kernel_fallbacks`` metric, recorded by auto mode), or
-* any replay result reports ``replay_kernel == "event"``, or
-* a platform stopped declaring fast-path support at any of the
-  1/2/4/8 GC-thread counts the paper sweeps, or
+* any replay result reports ``replay_kernel == "event"``, or a kernel
+  other than the one ``kernel_for`` picks for that cell, or
 * any Bitmap Count or marking-phase Scan&Push row reached the Charon
   kernel's scalar stage-1 planner (the ``replay.kernel_scalar_rows``
   metric; multi-page copy/search ranges are exempt).
@@ -28,10 +26,10 @@ over ``run.allocated_objects``): the per-object ``allocate`` path is
 bit-identical, so a mutator loop that slides back onto it costs capture
 time and nothing else would notice.
 
-This pins the support matrix: a change that quietly demotes a platform
-to event-by-event replay turns every trace sweep back into the
-bottleneck the batched kernels removed, and nothing else would notice
-— the results stay correct, just slow.  Exit status 0 on success.
+This pins the kernel matrix: a change that quietly moves a platform to
+a slower kernel turns every trace sweep back into the bottleneck the
+batched kernels removed, and nothing else would notice — the results
+stay correct, just slow.  Exit status 0 on success.
 Used by the CI ``fast-path-coverage`` job; runnable locally with
 ``python scripts/check_fast_path_coverage.py``.
 """
@@ -71,9 +69,7 @@ def batched_alloc_share(workload) -> float:
 def main() -> int:
     from repro.gcalgo.columnar import compile_traces
     from repro.obs.metrics import global_metrics
-    from repro.platform.base import FAST_REFUSE
-    from repro.platform.fast_replay import (FastTraceReplayer,
-                                            make_replayer)
+    from repro.platform.fast_replay import kernel_for, make_replayer
 
     from tests.conftest import (TinyGraph, TinyPageRank, TinySpark,
                                 make_concurrent_traces, make_g1_traces,
@@ -131,33 +127,21 @@ def main() -> int:
                   f"allocated in batches")
     for name in PLATFORMS:
         for threads in THREADS:
-            platform, _, _ = platform_for(name)
-            level, why = platform.fast_replay_support(threads)
-            if level == FAST_REFUSE:
-                failures.append(f"{name} x{threads}: refuses the fast "
-                                f"path ({why})")
-                continue
-            replayer = make_replayer(platform, threads=threads)
-            if not isinstance(replayer, FastTraceReplayer):
-                failures.append(f"{name} x{threads}: make_replayer fell "
-                                f"back to event-by-event replay")
-                continue
+            replayer = make_replayer(platform_for(name)[0],
+                                     threads=threads)
+            expected = kernel_for(platform_for(name)[0],
+                                  replayer.threads).name
             for set_name, compiled in compiled_sets.items():
                 result = replayer.replay_all(compiled)
-                if result.replay_kernel in ("", "event", "mixed"):
+                if result.replay_kernel in ("event", "mixed") \
+                        or result.replay_kernel != expected:
                     failures.append(
                         f"{name} x{threads} on {set_name}: replay "
-                        f"kernel was {result.replay_kernel!r}")
+                        f"kernel was {result.replay_kernel!r}, "
+                        f"expected {expected!r}")
                 else:
                     print(f"{name:15s} x{threads} {set_name:8s} -> "
                           f"{result.replay_kernel}")
-
-    fallbacks = sum(
-        sample["value"] for sample in global_metrics().samples()
-        if sample["metric"] == "replay.kernel_fallbacks")
-    if fallbacks:
-        failures.append(f"{fallbacks:.0f} silent fallback(s) to "
-                        f"event-by-event replay were recorded")
 
     # Stage-1 guard: the Charon kernel plans Bitmap Count and marking
     # Scan&Push rows as numpy columns; only multi-page ranges may take
@@ -206,7 +190,7 @@ def main() -> int:
     if not failures:
         print(f"fast-path coverage: OK — {len(PLATFORMS)} platforms x "
               f"{len(THREADS)} thread counts x {len(trace_sets)} "
-              f"trace sets, zero event-by-event fallbacks")
+              f"trace sets, every cell on its fast kernel")
     return 1 if failures else 0
 
 

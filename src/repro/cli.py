@@ -10,7 +10,7 @@ Commands:
 * ``ablation NAME`` — run one of the ablation studies;
 * ``trace WORKLOAD OUT.json`` / ``replay IN.json`` — capture a GC
   trace to disk (``.npz`` for the binary columnar format) and replay
-  it later on any platform (``--mode`` picks the fast path);
+  it later on any platform (``--mode event`` replays event by event);
 * ``cache stats|path|clear`` — the content-addressed trace cache;
 * ``report WORKLOAD`` — a zsim-style Charon device statistics dump;
 * ``stats WORKLOAD`` — the unified metric registry for one replay
@@ -141,14 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--platform", choices=PLATFORM_NAMES,
                         default="charon")
     replay.add_argument("--threads", type=int, default=None)
-    replay.add_argument("--mode", choices=REPLAY_MODES, default="auto",
-                        help="auto: fast path where the platform "
-                             "supports it; fast: require it; event: "
-                             "force event-by-event replay")
+    replay.add_argument("--mode", choices=REPLAY_MODES, default="fast",
+                        help="fast: the platform's fast kernel; event: "
+                             "event-by-event replay (the oracle)")
     replay.add_argument("--distributed", action="store_true",
                         help="use the distributed (per-cube) "
-                             "TLB/bitmap-cache Charon organisation "
-                             "(its fast path is unsupported)")
+                             "TLB/bitmap-cache Charon organisation")
 
     cache = commands.add_parser("cache", help="inspect or clear the "
                                               "content-addressed trace "
@@ -335,28 +333,22 @@ def _cmd_compare(args) -> str:
 
 
 def _cmd_replay(args) -> str:
-    from repro.gcalgo.columnar import compile_traces
     from repro.gcalgo.trace_io import load_manifest, stream_compiled
     from repro.heap.heap import JavaHeap
-    from repro.platform import FastTraceReplayer, make_replayer
+    from repro.platform import make_replayer
     from repro.workloads.base import workload_klasses
 
-    binary = args.input.endswith(".npz")
-    if binary:
+    if args.input.endswith(".npz"):
         # Sizing decisions need only the manifest; the event stream is
         # replayed through the chunked generator reader, one trace in
         # RAM at a time.
-        entries = load_manifest(args.input)["traces"]
-        traces = None
-        heap_bytes = max((entry.get("heap_bytes", 0)
-                          for entry in entries), default=0) \
-            or 16 * (1 << 20)
-        count = len(entries)
+        sizes = [entry.get("heap_bytes", 0)
+                 for entry in load_manifest(args.input)["traces"]]
+        traces = stream_compiled(args.input)
     else:
         traces = load_traces(args.input)
-        heap_bytes = max((t.heap_bytes for t in traces), default=0) \
-            or 16 * (1 << 20)
-        count = len(traces)
+        sizes = [trace.heap_bytes for trace in traces]
+    heap_bytes = max(sizes, default=0) or 16 * (1 << 20)
     config = default_config().with_heap_bytes(heap_bytes)
     if args.distributed:
         config = config.with_distributed_charon(True)
@@ -364,17 +356,9 @@ def _cmd_replay(args) -> str:
     platform = build_platform(args.platform, config, heap)
     replayer = make_replayer(platform, threads=args.threads,
                              mode=args.mode)
-    if isinstance(replayer, FastTraceReplayer):
-        feed = (stream_compiled(args.input) if binary
-                else compile_traces(traces))
-        path_note = "fast path"
-    else:
-        feed = (traces if traces is not None else
-                (t.to_trace() for t in stream_compiled(args.input)))
-        path_note = "event-by-event"
-    result = replayer.replay_all(feed)
-    return (f"replayed {count} traces on {args.platform} "
-            f"({path_note}): "
+    result = replayer.replay_all(traces)
+    return (f"replayed {len(sizes)} traces on {args.platform} "
+            f"({replayer.kernel_name} kernel): "
             f"{result.wall_seconds * 1e3:.3f} ms, "
             f"{result.energy.total_j * 1e3:.2f} mJ, "
             f"{result.utilized_bandwidth / 1e9:.1f} GB/s")
@@ -440,7 +424,6 @@ def _cmd_report(args) -> str:
 
 def _cmd_stats(args) -> str:
     from repro.experiments.runner import workload_config
-    from repro.gcalgo.columnar import compile_traces
     from repro.heap.heap import JavaHeap
     from repro.obs.adapters import (device_metrics, heap_kernel_metrics,
                                     hmc_metrics, replay_kernel_metrics,
@@ -449,7 +432,7 @@ def _cmd_stats(args) -> str:
                                     warm_sweep_metrics)
     from repro.obs.export import metrics_csv, metrics_snapshot
     from repro.obs.metrics import MetricsRegistry
-    from repro.platform import FastTraceReplayer, make_replayer
+    from repro.platform import make_replayer
     from repro.workloads.base import workload_klasses
 
     heap_bytes = args.heap_mb * (1 << 20) if args.heap_mb else None
@@ -457,10 +440,8 @@ def _cmd_stats(args) -> str:
     config = workload_config(args.workload, heap_bytes)
     heap = JavaHeap(config.heap, klasses=workload_klasses())
     platform = build_platform(args.platform, config, heap)
-    replayer = make_replayer(platform, threads=args.threads)
-    feed = (compile_traces(run.traces)
-            if isinstance(replayer, FastTraceReplayer) else run.traces)
-    result = replayer.replay_all(feed)
+    result = make_replayer(platform, threads=args.threads) \
+        .replay_all(run.traces)
 
     registry = MetricsRegistry()
     timing_metrics(registry, result, workload=args.workload)
@@ -733,12 +714,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"wrote {len(run.traces)} GC traces "
               f"({events} primitive events) to {args.output}")
     elif args.command == "replay":
-        from repro.platform import FastReplayUnsupported
-        try:
-            print(_cmd_replay(args))
-        except FastReplayUnsupported as exc:
-            print(f"fast replay unsupported: {exc}", file=sys.stderr)
-            return 2
+        print(_cmd_replay(args))
     elif args.command == "cache":
         print(_cmd_cache(args))
     elif args.command == "report":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import ConfigError
 from repro.units import GB, KB, MB, NS, gb_per_s
@@ -485,7 +485,6 @@ REPLAY_JOBS_ENV = "REPRO_JOBS"                 #: replay_grid processes
 WORKLOADS_ENV = "REPRO_WORKLOADS"              #: comma-separated subset
 TRACE_OUT_ENV = "REPRO_TRACE_OUT"              #: Chrome trace at exit
 METRICS_OUT_ENV = "REPRO_METRICS_OUT"          #: metric snapshot at exit
-REPLAY_MODE_ENV = "REPRO_REPLAY_MODE"          #: auto | fast | event
 HEAP_KERNELS_ENV = "REPRO_HEAP_KERNELS"        #: scalar | fast
 HEAP_BACKEND_ENV = "REPRO_HEAP_BACKEND"        #: ram | mmap
 TRACE_CHUNK_ENV = "REPRO_TRACE_CHUNK_EVENTS"   #: events per npz chunk
@@ -497,7 +496,9 @@ STAGE1_CACHE_ENV = "REPRO_STAGE1_CACHE"        #: stage-1 product cache
 STAGE1_CACHE_REQUIRE_ENV = "REPRO_STAGE1_CACHE_REQUIRE"  #: miss = error
 WARM_POOL_ENV = "REPRO_WARM_POOL"              #: persistent sweep pool
 
-REPLAY_MODES = ("auto", "fast", "event")
+#: Replayers ``make_replayer`` builds: the fast kernels or the
+#: event-by-event oracle.
+REPLAY_MODES = ("fast", "event")
 
 #: Heap-buffer backends (see :mod:`repro.heap.backing`): ``ram``
 #: (default) allocates ``np.zeros`` pages up front, ``mmap`` backs the
@@ -539,6 +540,16 @@ def default_heap_backend() -> str:
     return backend
 
 
+def default_replay_jobs() -> int:
+    """The environment-selected ``replay_grid`` process count."""
+    raw = os.environ.get(REPLAY_JOBS_ENV) or "1"
+    if not raw.isdigit() or int(raw) < 1:
+        raise ConfigError(
+            f"{REPLAY_JOBS_ENV} must be a positive process count, "
+            f"got {raw!r}")
+    return int(raw)
+
+
 def default_trace_chunk_events() -> int:
     """The environment-selected chunk size for binary traces."""
     raw = os.environ.get(TRACE_CHUNK_ENV)
@@ -555,39 +566,3 @@ def default_trace_chunk_events() -> int:
 #: reference object-at-a-time paths — the oracle the differential
 #: fuzzer compares against.
 HEAP_KERNEL_MODES = ("scalar", "fast")
-
-
-@dataclass(frozen=True)
-class ReplayConfig:
-    """How the experiment layer turns traces into timing results.
-
-    ``fast_path`` selects the replayer (see
-    :func:`repro.platform.fast_replay.make_replayer`): ``auto`` uses
-    the vectorized fast path wherever the platform declares it
-    equivalent, ``fast`` requires it, ``event`` forces the event-by-
-    event replayer.  ``cache_dir`` points the content-addressed trace
-    cache at a directory (``None`` disables it) and ``jobs`` bounds the
-    :func:`repro.experiments.runner.replay_grid` process fan-out.
-    """
-
-    fast_path: str = "auto"
-    cache_dir: Optional[str] = None
-    jobs: int = 1
-
-    def validate(self) -> None:
-        if self.fast_path not in REPLAY_MODES:
-            raise ConfigError(
-                f"fast_path must be one of {REPLAY_MODES}, "
-                f"got {self.fast_path!r}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-
-
-def default_replay_config() -> ReplayConfig:
-    """The environment-driven replay configuration."""
-    config = ReplayConfig(
-        fast_path=os.environ.get(REPLAY_MODE_ENV) or "auto",
-        cache_dir=os.environ.get(TRACE_CACHE_ENV) or None,
-        jobs=int(os.environ.get(REPLAY_JOBS_ENV) or 1))
-    config.validate()
-    return config

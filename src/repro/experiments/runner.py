@@ -8,9 +8,8 @@ pipeline:
   :mod:`~repro.experiments.trace_cache`, so a warmed cache directory
   lets a whole benchmark session replay without executing a collector;
 * each run's traces are compiled once to columnar form
-  (``_COMPILED_CACHE``) for the vectorized fast-path replayer, which
-  :func:`replay_platform` selects automatically per platform via
-  :func:`repro.platform.fast_replay.make_replayer`;
+  (``_COMPILED_CACHE``) for the platform's fast replay kernel (see
+  :func:`repro.platform.fast_replay.kernel_for`);
 * :func:`replay_grid` fans the platform x workload grid out over
   worker processes with a deterministic merge.  With a shard journal
   configured (``REPRO_SHARD_JOURNAL`` or ``journal=``), the grid
@@ -23,13 +22,11 @@ pipeline:
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.config import (REPLAY_JOBS_ENV, SystemConfig, default_config,
-                          default_replay_config)
+from repro.config import SystemConfig, default_config, default_replay_jobs
 from repro.errors import OutOfMemoryError
 from repro.experiments import (progress, shard_journal, shm_store,
                                trace_cache, workers)
@@ -40,7 +37,7 @@ from repro.obs.adapters import timing_metrics
 from repro.obs.metrics import global_metrics
 from repro.obs.tracer import get_tracer
 from repro.platform import build_platform
-from repro.platform.fast_replay import FastTraceReplayer, make_replayer
+from repro.platform.fast_replay import make_replayer
 from repro.platform.timing import GCTimingResult
 from repro.workloads import get_workload, run_workload
 from repro.workloads.base import workload_klasses
@@ -118,17 +115,6 @@ def clear_cache() -> None:
     _REPLAY_CACHE.clear()
 
 
-def layout_heap(name: str,
-                heap_bytes: Optional[int] = None) -> JavaHeap:
-    """A heap with the same address layout the cached run used.
-
-    Platforms only need the layout/metadata addresses, which depend
-    solely on the heap configuration.
-    """
-    config = workload_config(name, heap_bytes)
-    return JavaHeap(config.heap, klasses=workload_klasses())
-
-
 def _replay_key(platform_name: str, name: str, config: SystemConfig,
                 threads: Optional[int]) -> tuple:
     """Memo key: the parameters that affect replay timing."""
@@ -148,30 +134,20 @@ def replay_platform(platform_name: str, name: str,
     """Replay a workload's full GC history on one platform.
 
     Results are memoised on the parameters that affect timing (platform,
-    heap, thread count, Charon organisation/unit counts).  Platforms
-    that declare the vectorized fast path equivalent replay the
-    compiled columnar traces; the rest replay event by event.
+    heap, thread count, Charon organisation/unit counts).  The compiled
+    columnar traces replay through the platform's fast kernel.
     """
     resolved_config = config or workload_config(name, heap_bytes)
-    # REPRO_REPLAY_MODE pins the replayer for the whole pipeline:
-    # "fast" turns silent fallbacks into hard errors (the CI coverage
-    # check), "event" forces the golden path for A/B comparison.
-    mode = default_replay_config().fast_path
-    key = _replay_key(platform_name, name, resolved_config, threads) \
-        + (mode,)
+    key = _replay_key(platform_name, name, resolved_config, threads)
     if key not in _REPLAY_CACHE:
         heap = JavaHeap(resolved_config.heap,
                         klasses=workload_klasses())
         platform = build_platform(platform_name, resolved_config, heap)
-        replayer = make_replayer(platform, threads=threads, mode=mode)
-        # The compiled-trace path never needs the WorkloadRun itself,
-        # so a warm worker whose _COMPILED_CACHE was primed (from the
-        # trace cache or a shared-memory attachment) replays without
-        # capturing — only the event-by-event path demands the run.
-        if isinstance(replayer, FastTraceReplayer):
-            traces: Iterable = compiled_run_traces(name, heap_bytes)
-        else:
-            traces = collect_run(name, heap_bytes).traces
+        replayer = make_replayer(platform, threads=threads)
+        # Compiled traces never need the WorkloadRun itself, so a warm
+        # worker whose _COMPILED_CACHE was primed (from the trace cache
+        # or a shared-memory attachment) replays without capturing.
+        traces = compiled_run_traces(name, heap_bytes)
         with get_tracer().span("replay", cat="runner", workload=name,
                                platform=platform_name):
             result = replayer.replay_all(traces)
@@ -189,11 +165,10 @@ def _grid_worker(job: tuple) -> GCTimingResult:
 
 
 def _memo_key(job: tuple) -> tuple:
-    """The _REPLAY_CACHE key a job resolves to (mode included)."""
+    """The _REPLAY_CACHE key a job resolves to."""
     platform_name, name, heap_bytes, threads = job
     return _replay_key(platform_name, name,
-                       workload_config(name, heap_bytes), threads) \
-        + (default_replay_config().fast_path,)
+                       workload_config(name, heap_bytes), threads)
 
 
 def _journal_worker(payload: tuple) -> None:
@@ -254,7 +229,7 @@ def replay_grid(platform_names: Iterable[str],
     platform_names = list(platform_names)
     workload_names = list(workload_names)
     if processes is None:
-        processes = int(os.environ.get(REPLAY_JOBS_ENV) or 1)
+        processes = default_replay_jobs()
     jobs = [(platform, name, heap_bytes, threads)
             for name in workload_names for platform in platform_names]
     for name in workload_names:

@@ -43,6 +43,18 @@ CODE_TO_PRIMITIVE: Dict[int, Primitive] = {
     code: primitive for primitive, code in PRIMITIVE_TYPE_CODES.items()
 }
 
+_KNOWN_CODES = np.array(sorted(CODE_TO_PRIMITIVE), dtype=np.uint8)
+
+
+def check_primitive_codes(prim: np.ndarray, source: str) -> None:
+    """Raise :class:`ConfigError` naming the first code in the ``prim``
+    column that decodes to no primitive."""
+    unknown = prim[~np.isin(prim, _KNOWN_CODES)]
+    if len(unknown):
+        raise ConfigError(f"{source}: unknown primitive code "
+                          f"{int(unknown[0])}")
+
+
 #: ``bits_cached`` is Optional in the object form; the column encodes
 #: "no cache hit" as -1 (real values are bit counts, never negative).
 NO_BITS_CACHED = -1
@@ -109,8 +121,8 @@ class CompiledTrace:
         """Maximal runs of consecutive same-phase events.
 
         Returns ``(phase_name, start, stop)`` triples covering
-        ``events[start:stop]``, in order — the same segmentation the
-        event-by-event replayer derives from the object stream.  Pure
+        ``events[start:stop]``, in order — the same segmentation
+        :meth:`GCTrace.phase_runs` derives from the object stream.  Pure
         in the events, so the segmentation is computed once and
         memoized (callers must not mutate the returned list).
         """
@@ -168,6 +180,7 @@ class CompiledTrace:
         """Decompile back to the per-event object form (lossless)."""
         trace = GCTrace(self.kind, heap_bytes=self.heap_bytes)
         ev = self.events
+        check_primitive_codes(ev["prim"], "compiled trace")
         columns = {name: ev[name].tolist()
                    for name in ("prim", "phase", "src", "dst",
                                 "size_bytes", "refs", "pushes", "bits",

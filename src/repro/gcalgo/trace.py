@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from itertools import groupby
+from operator import attrgetter
+from typing import Dict, Iterator, List, Tuple
 
 
 class Primitive(enum.Enum):
@@ -123,6 +125,18 @@ class GCTrace:
                  bytes_accessed: int = 0) -> None:
         self.residuals.setdefault(phase, ResidualWork()).add(
             instructions, bytes_accessed)
+
+    def phase_runs(self) -> List[Tuple[str, int, int]]:
+        """Maximal runs of consecutive same-phase events, as
+        ``(phase_name, start, stop)`` triples covering
+        ``events[start:stop]`` in order."""
+        runs: List[Tuple[str, int, int]] = []
+        lo = 0
+        for phase, group in groupby(self.events, key=attrgetter("phase")):
+            hi = lo + sum(1 for _ in group)
+            runs.append((phase, lo, hi))
+            lo = hi
+        return runs
 
     # -- summaries ------------------------------------------------------------
 

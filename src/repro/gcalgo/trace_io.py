@@ -53,7 +53,7 @@ from repro.config import default_trace_chunk_events
 from repro.errors import ConfigError
 from repro.gcalgo.columnar import (CompiledTrace, EVENT_DTYPE,
                                    STAT_FIELDS, TRACE_SCHEMA_VERSION,
-                                   compile_trace)
+                                   check_primitive_codes, compile_trace)
 from repro.gcalgo.trace import GCTrace, Primitive, ResidualWork, TraceEvent
 
 FORMAT_VERSION = 1
@@ -275,6 +275,13 @@ def _compiled_of(archive, path: Path, index: int,
         raise ConfigError(
             f"{path} trace {index} declares {declared} events but "
             f"stores {len(events)}; regenerate the trace")
+    check_primitive_codes(events["prim"], f"{path} trace {index}")
+    phases = entry.get("phases", [])
+    if len(events) and int(events["phase"].max()) >= len(phases):
+        raise ConfigError(
+            f"{path} trace {index}: phase id "
+            f"{int(events['phase'].max())} but only {len(phases)} "
+            f"phases are named")
     residuals = {
         phase: ResidualWork(instructions=instructions,
                             bytes_accessed=bytes_accessed)
@@ -283,7 +290,7 @@ def _compiled_of(archive, path: Path, index: int,
     }
     return CompiledTrace(
         entry["kind"], entry.get("heap_bytes", 0), events,
-        entry.get("phases", []), residuals,
+        phases, residuals,
         **entry.get("stats", {}))
 
 
@@ -370,9 +377,3 @@ def load_summaries(path: Union[str, Path]) -> List[Dict[str, object]]:
     except _NPZ_ERRORS as exc:
         raise ConfigError(f"{path} is not a readable gctrace file: "
                           f"{exc}") from exc
-
-
-def load_traces_npz(path: Union[str, Path]) -> List[GCTrace]:
-    """Read a binary trace file back as :class:`GCTrace` objects."""
-    compiled, _ = load_compiled(path)
-    return [trace.to_trace() for trace in compiled]

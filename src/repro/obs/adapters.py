@@ -85,10 +85,10 @@ def hmc_metrics(registry: MetricsRegistry, hmc: "HMCSystem") -> None:
 def replay_kernel_metrics(registry: MetricsRegistry) -> None:
     """Mirror the process-wide ``replay.kernel*`` rows into ``registry``.
 
-    The replayers record which kernel ran (event, closed-form, or a
-    batched kernel), its throughput, and any auto-mode fallbacks into
+    The replay driver records which kernel ran (event, closed-form, or
+    a batched kernel), its throughput, and its stage-1 scalar rows into
     the *global* registry; this copies those rows into a per-command
-    snapshot so ``repro stats`` always shows which replay path
+    snapshot so ``repro stats`` always shows which replay kernel
     produced its numbers.
     """
     from repro.obs.metrics import global_metrics

@@ -9,7 +9,7 @@ object per line for every notable occurrence:
 record type         emitted by
 ==================  =====================================================
 ``run_start``       :func:`install_env_eventlog` when a process arms
-``gc_pause``        both replayers, once per simulated collection
+``gc_pause``        the replay driver, once per simulated collection
 ``shard_claimed``   :mod:`repro.experiments.shard_journal` on a claim win
 ``shard_done``      the shard journal after a shard's result persists
 ``cache_hit``       :mod:`repro.experiments.trace_cache` on a served run
@@ -22,8 +22,6 @@ record type         emitted by
 ``pool_start``      :mod:`repro.experiments.workers` noting the chosen
                     sweep start method (once per process)
 ``pool_reuse``      the warm pool serving a repeat sweep invocation
-``fallback``        :func:`repro.platform.fast_replay.make_replayer` on
-                    an auto-mode demotion to event-by-event replay
 ``coverage_check``  ``scripts/check_fast_path_coverage.py`` verdicts
 ``run_end``         an ``atexit`` hook per armed process
 ==================  =====================================================
@@ -66,14 +64,14 @@ EVENTLOG_SCHEMA_VERSION = 1
 #: log accepts any type so downstream layers can extend it).
 EVENT_TYPES = ("run_start", "gc_pause", "shard_claimed", "shard_done",
                "cache_hit", "cache_miss", "stage1_hit", "stage1_miss",
-               "shm_publish", "pool_start", "pool_reuse", "fallback",
-               "coverage_check", "run_end")
+               "shm_publish", "pool_start", "pool_reuse", "coverage_check",
+               "run_end")
 
 #: Rotated-file suffix appended to the log path.
 ROTATED_SUFFIX = ".1"
 
 #: GC trace kind -> the collector class that produces it; fills the
-#: ``gc_pause`` record's ``collector`` field in both replayers.
+#: ``gc_pause`` record's ``collector`` field.
 COLLECTOR_FOR_KIND = {
     "minor": "MinorGC",
     "major": "MajorGC",

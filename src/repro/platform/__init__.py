@@ -18,8 +18,7 @@ to run traces on it.
 from repro.platform.timing import GCTimingResult, PlatformEnergy
 from repro.platform.factory import PLATFORM_NAMES, build_platform
 from repro.platform.replay import TraceReplayer
-from repro.platform.fast_replay import (FastReplayUnsupported,
-                                        FastTraceReplayer, make_replayer)
+from repro.platform.fast_replay import FastTraceReplayer, make_replayer
 
 __all__ = [
     "GCTimingResult",
@@ -27,7 +26,6 @@ __all__ = [
     "PLATFORM_NAMES",
     "build_platform",
     "TraceReplayer",
-    "FastReplayUnsupported",
     "FastTraceReplayer",
     "make_replayer",
 ]

@@ -18,21 +18,6 @@ from repro.platform.host_costs import HostCostModel
 from repro.platform.ports import DDR4Port, HMCHostPort
 
 
-#: Fast-replay support levels (the three-way answer of
-#: :meth:`Platform.fast_replay_support`):
-#:
-#: * ``closed-form`` — every event's duration is a pure function of the
-#:   event; the whole trace vectorizes in numpy with no replay state.
-#: * ``batched-stateful`` — durations depend on shared state (FIFO
-#:   horizons, caches, unit queues), but all *pure* per-event work can
-#:   be precomputed in bulk, leaving only the order-dependent recurrence
-#:   to a tight stage-2 loop (see :mod:`repro.platform.batched`).
-#: * ``refuse`` — no equivalent kernel exists; replay event by event.
-FAST_CLOSED_FORM = "closed-form"
-FAST_BATCHED = "batched-stateful"
-FAST_REFUSE = "refuse"
-
-
 class Platform:
     """Common machinery: host processor, memory port, cost model."""
 
@@ -63,24 +48,6 @@ class Platform:
 
     def phase_end(self, phase: str) -> None:
         """Hook at each phase barrier (bitmap-cache flushes)."""
-
-    # -- fast-path eligibility ----------------------------------------------
-
-    def fast_replay_support(self, threads: int) -> Tuple[str, str]:
-        """How may the fast path reproduce this platform exactly?
-
-        Returns ``(level, reason)`` where ``level`` is one of
-        :data:`FAST_CLOSED_FORM` (per-event costs are pure functions of
-        the event; batch everything in numpy), :data:`FAST_BATCHED`
-        (costs are order-dependent through shared state, but a two-stage
-        kernel — numpy precompute plus a tight stateful recurrence loop
-        — is exactly equivalent), or :data:`FAST_REFUSE` (no equivalent
-        kernel; replay event by event).  Each platform declares its own
-        eligibility for a given effective GC thread count; the default
-        is a refusal.
-        """
-        return (FAST_REFUSE,
-                "no batched kernel models this platform's event costs")
 
     # -- accounting ---------------------------------------------------------
 
@@ -121,26 +88,6 @@ class CpuDDR4Platform(Platform):
         super().__init__(config, DDR4Port(ddr4))
         self.ddr4 = ddr4
 
-    def fast_replay_support(self, threads: int) -> Tuple[str, str]:
-        """DDR4 replay always batches; one thread even closes the form.
-
-        With one GC thread the thread's clock is always >= every
-        channel-FIFO horizon it has reserved (each event finishes no
-        earlier than its own bandwidth reservation), so ``max(now,
-        busy_until)`` degenerates to ``now`` and every event's duration
-        becomes a closed-form function of the event alone.  Two or more
-        threads genuinely contend on the channel FIFOs, but the only
-        order-dependent quantities are the two channels' bulk/priority
-        horizons and the thread clocks — the batched kernel precomputes
-        everything else and runs just that recurrence.
-        """
-        if threads == 1:
-            return (FAST_CLOSED_FORM,
-                    "one GC thread never queues on the channel FIFOs")
-        return (FAST_BATCHED,
-                "channel-FIFO contention couples events across GC "
-                "threads; only the horizon recurrence replays in order")
-
 
 class CpuHMCPlatform(Platform):
     """Host against the HMC's external links (no offloading)."""
@@ -153,18 +100,6 @@ class CpuHMCPlatform(Platform):
         super().__init__(config, HMCHostPort(hmc, vm))
         self.hmc = hmc
         self.vm = vm
-
-    def fast_replay_support(self, threads: int) -> Tuple[str, str]:
-        # One event's range splits into per-cube runs that queue behind
-        # each other on the shared serial-link FIFOs (and anonymous
-        # residual traffic round-robins a cube cursor), so costs are
-        # order-dependent even with a single GC thread.  The stateful
-        # part is just the link/TSV horizons and the anon cursor; the
-        # per-cube routing, service times and latency bounds are pure
-        # and precompute in bulk.
-        return (FAST_BATCHED,
-                "per-cube range routing shares serial-link FIFOs; the "
-                "horizon recurrence replays in order, the rest batches")
 
 
 class CharonPlatform(Platform):
@@ -203,13 +138,6 @@ class CharonPlatform(Platform):
     def phase_end(self, phase: str) -> None:
         self.device.phase_completed(phase)
 
-    def fast_replay_support(self, threads: int) -> Tuple[str, str]:
-        return (FAST_BATCHED,
-                "unit, link and bitmap-cache state make offload costs "
-                "order-dependent; routing, packet and stream maths "
-                "precompute in bulk; distributed slices resolve to "
-                "per-slice port horizons and tag arrays")
-
 
 class IdealPlatform(Platform):
     """Offloaded primitives take zero cycles (Fig. 12's upper bound)."""
@@ -227,8 +155,3 @@ class IdealPlatform(Platform):
     def offload_finish(self, now: float, event: TraceEvent,
                        gc_kind: str) -> float:
         return now
-
-    def fast_replay_support(self, threads: int) -> Tuple[str, str]:
-        # Zero-cost offloads touch no memory resource at all, so the
-        # batched path is exact for any thread count.
-        return FAST_CLOSED_FORM, "offloaded primitives are zero-cost"

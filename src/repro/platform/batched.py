@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ProtectionFault, ReproError
+from repro.errors import ConfigError, ProtectionFault
 from repro.gcalgo.columnar import (CODE_TO_PRIMITIVE, CompiledTrace,
                                    PRIMITIVE_TYPE_CODES)
 from repro.gcalgo.trace import Primitive, is_marking_phase
@@ -70,12 +70,6 @@ _MARKING_KINDS = ("major", "g1", "concurrent")
 _MARK_HASH = 2654435761
 #: Largest ``src >> 14`` whose hash product still fits in int64.
 _MARK_HASH_LIMIT = (2 ** 63 - 1) // _MARK_HASH
-
-
-class FastReplayUnsupported(ReproError):
-    """The platform's event costs cannot be batched (its
-    :meth:`~repro.platform.base.Platform.fast_replay_support` refused,
-    or the trace touches state the kernel cannot mirror)."""
 
 
 class _Unmapped(Exception):
@@ -290,10 +284,6 @@ class _CubeMap:
                 f"no mapping for vaddr {addr:#x} in pcid {self.pcid}")
         return entry[0]
 
-    def is_pinned(self, addr: int) -> bool:
-        entry = self.lookup(addr)
-        return entry is not None and entry[2]
-
     def split(self, start: int, length: int) -> List[Tuple[int, int]]:
         """``(run_length, cube)`` pieces, merged like
         :meth:`VirtualMemory.split_range_by_cube` (run starts are not
@@ -433,7 +423,7 @@ def _compute_host_columns(compiled: CompiledTrace, costs,
     bitmap = derived["is_bitmap"]
     known = int(copy.sum() + search.sum() + scan.sum() + bitmap.sum())
     if known != n:
-        raise FastReplayUnsupported(
+        raise ConfigError(
             "trace contains primitive codes the host kernels do not "
             "price")
 
@@ -499,6 +489,7 @@ class DDR4BatchedKernel:
     """
 
     name = "ddr4-batched"
+    scalar_rows = None  # every row is planned in bulk
 
     def __init__(self, platform, threads: int) -> None:
         core = platform.host.core
@@ -628,6 +619,7 @@ class HostHMCBatchedKernel:
     """
 
     name = "hmc-batched"
+    scalar_rows = None  # every row is planned in bulk
 
     def __init__(self, platform, threads: int) -> None:
         core = platform.host.core
@@ -1131,7 +1123,7 @@ class CharonBatchedKernel:
         if int(derived["is_copy"].sum() + derived["is_search"].sum()
                + derived["is_scan"].sum()
                + derived["is_bitmap"].sum()) != n:
-            raise FastReplayUnsupported(
+            raise ConfigError(
                 "trace contains primitive codes the Charon kernel "
                 "does not model")
         state = self._fresh_state(n)
@@ -2022,16 +2014,3 @@ class CharonBatchedKernel:
                                           self._read_hits[ci])
                 self._read_acc[ci] = 0
                 self._read_hits[ci] = 0
-
-
-def batched_kernel_for(platform, threads: int):
-    """The stage-2 kernel matching a batched-stateful platform."""
-    name = platform.name
-    if name == "cpu-ddr4":
-        return DDR4BatchedKernel(platform, threads)
-    if name == "cpu-hmc":
-        return HostHMCBatchedKernel(platform, threads)
-    if name in ("charon", "charon-cpuside"):
-        return CharonBatchedKernel(platform, threads)
-    raise FastReplayUnsupported(
-        f"no batched kernel is registered for platform {name!r}")

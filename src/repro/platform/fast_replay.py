@@ -1,27 +1,17 @@
 """Vectorized fast-path trace replay.
 
-The event-by-event :class:`~repro.platform.replay.TraceReplayer` walks
+The event kernel of :class:`~repro.platform.replay.TraceReplayer` walks
 every :class:`~repro.gcalgo.trace.TraceEvent` through Python attribute
 dispatch; for large traces the *timing layer* dominates experiment
-runtime.  :class:`FastTraceReplayer` costs a whole
-:class:`~repro.gcalgo.columnar.CompiledTrace` through one of two kernel
-families instead, selected by the platform's own eligibility answer
-(:meth:`~repro.platform.base.Platform.fast_replay_support`):
-
-* **closed-form** (``ideal``; ``cpu-ddr4`` with one GC thread) — every
-  event's duration is a pure function of the event, so the whole trace
-  prices in a handful of numpy array operations;
-* **batched-stateful** (multi-threaded ``cpu-ddr4``, ``cpu-hmc``,
-  ``charon`` — unified or ``--distributed`` — and
-  ``charon-cpuside``) — costs are order-dependent through shared
-  state, so a two-stage kernel from :mod:`repro.platform.batched`
-  precomputes all pure per-event work in bulk and replays only the
-  stateful recurrence (thread clocks, FIFO horizons, unit queues,
-  per-slice TLB/bitmap-cache ports and tags) in a tight loop;
-* **refuse** (only the abstract base platform) — no equivalent kernel
-  exists and :class:`FastReplayUnsupported` is raised;
-  :func:`make_replayer` falls back to event-by-event replay in
-  ``auto`` mode.
+runtime.  :class:`FastTraceReplayer` drives the same per-GC loop over a
+kernel that costs a whole :class:`~repro.gcalgo.columnar.CompiledTrace`
+instead, chosen by :func:`kernel_for` from the platform and thread
+count: a **closed-form** kernel (below) where every event's duration is
+a pure function of the event, so the whole trace prices in a handful of
+numpy array operations, and a two-stage **batched** kernel from
+:mod:`repro.platform.batched` where costs are order-dependent through
+shared state (thread clocks, FIFO horizons, unit queues, per-slice
+TLB/bitmap-cache ports and tags).
 
 Equivalence contract (what the golden tests in
 ``tests/test_fast_replay_equivalence.py`` assert): integer counters
@@ -34,297 +24,113 @@ accounting (~n*eps).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.gcalgo.columnar import (CODE_TO_PRIMITIVE, CompiledTrace,
-                                   compile_trace)
-from repro.gcalgo.trace import GCTrace, Primitive
-from repro.obs.eventlog import COLLECTOR_FOR_KIND, get_eventlog
-from repro.obs.tracer import get_tracer
-from repro.platform.base import (FAST_BATCHED, FAST_CLOSED_FORM,
-                                 FAST_REFUSE, Platform)
-from repro.platform.batched import (FastReplayUnsupported,
-                                    batched_kernel_for,
+                                   check_primitive_codes)
+from repro.gcalgo.trace import Primitive
+from repro.platform.base import Platform
+from repro.platform.batched import (CharonBatchedKernel,
+                                    DDR4BatchedKernel,
+                                    HostHMCBatchedKernel,
                                     host_event_columns)
-from repro.platform.replay import TraceReplayer, perf_counter
-from repro.platform.timing import GCTimingResult
+from repro.platform.replay import TraceReplayer
 
-__all__ = ["FastReplayUnsupported", "FastTraceReplayer",
-           "make_replayer"]
+__all__ = ["FastTraceReplayer", "kernel_for", "make_replayer"]
 
 
 class FastTraceReplayer(TraceReplayer):
-    """Batched replay for platforms that declare an equivalent kernel.
+    """The replay driver over the platform's fast kernel.
 
     Accepts :class:`GCTrace` or :class:`CompiledTrace` inputs (objects
     are compiled on the fly; feed compiled traces to skip that cost).
-    Residual (non-offloadable) phase work still goes through the real
-    :meth:`HostCostModel.residual_seconds` scalar path in phase order,
-    so its resource accounting — and on HMC-backed platforms its
-    stateful cube round-robin — evolves identically to the event-by-
-    event replayer.
     """
 
     def __init__(self, platform: Platform,
                  threads: Optional[int] = None) -> None:
-        super().__init__(platform, threads=threads)
-        level, why = platform.fast_replay_support(self.threads)
-        if level == FAST_REFUSE:
-            raise FastReplayUnsupported(f"{platform.name}: {why}")
-        if level == FAST_CLOSED_FORM:
-            self._kernel = _kernel_for(platform)
-            self._batched = None
-            self.kernel_name = "closed-form"
-        elif level == FAST_BATCHED:
-            self._kernel = None
-            self._batched = batched_kernel_for(platform, self.threads)
-            self.kernel_name = self._batched.name
-        else:  # pragma: no cover - platforms only return the three
-            raise ConfigError(f"unknown fast-replay level {level!r}")
-
-    def replay(self, trace: Union[GCTrace, CompiledTrace]
-               ) -> GCTimingResult:
-        compiled = (trace if isinstance(trace, CompiledTrace)
-                    else compile_trace(trace))
-        if self._batched is not None:
-            return self._replay_batched(compiled)
-        return self._replay_closed_form(compiled)
-
-    # -- batched-stateful path ---------------------------------------------
-
-    def _replay_batched(self, compiled: CompiledTrace) -> GCTimingResult:
-        platform = self.platform
-        kernel = self._batched
-        started = perf_counter()
-        chunks_before = kernel.chunks_processed
-        obs = get_tracer()
-        if not obs.enabled:
-            obs = None
-        gc_start = self.clock
-        work_start = platform.begin_gc(gc_start)
-        flush_seconds = work_start - gc_start
-        if obs is not None and flush_seconds > 0.0:
-            obs.add_span("llc-flush", gc_start, flush_seconds,
-                         cat="phase", args={"platform": platform.name})
-
-        primitive_seconds: Dict[Primitive, float] = {}
-        residual_seconds = 0.0
-        host_busy = flush_seconds
-        before = self._snapshot()
-        # Stage 1: plans and bulk accounting for the whole trace (after
-        # the snapshot so counter deltas attribute to this GC).
-        kernel.begin(compiled)
-
-        now = work_start
-        runs = compiled.phase_runs()
-        for name, lo, hi in runs:
-            phase_start = now
-            barrier, busy = kernel.run_phase(lo, hi, now,
-                                             primitive_seconds)
-            host_busy += busy
-            now = barrier
-            work = compiled.residuals.get(name)
-            if work is not None:
-                share = platform.cost_model.residual_seconds(
-                    now, work, self._residual_threads)
-                residual_seconds += share * self._residual_threads
-                host_busy += share * self._residual_threads
-                now += share
-            platform.phase_end(name)
-            if obs is not None:
-                obs.add_span(name, phase_start, now - phase_start,
-                             cat="phase", args={"gc": compiled.kind,
-                                                "events": hi - lo})
-
-        # Residual-only phases that had no events (e.g. summary), in
-        # the trace's insertion order — same as the event-by-event path.
-        seen = {name for name, _, _ in runs}
-        for name, work in compiled.residuals.items():
-            if name in seen:
-                continue
-            share = platform.cost_model.residual_seconds(
-                now, work, self._residual_threads)
-            residual_seconds += share * self._residual_threads
-            host_busy += share * self._residual_threads
-            if obs is not None:
-                obs.add_span(name, now, share, cat="phase",
-                             args={"gc": compiled.kind, "events": 0})
-            now += share
-            platform.phase_end(name)
-
-        if obs is not None:
-            obs.add_span(f"{compiled.kind} gc", gc_start, now - gc_start,
-                         cat="gc",
-                         args={"platform": platform.name,
-                               "events": len(compiled.events)})
-        self.clock = now
-        result = self._package(compiled.kind, gc_start, now,
-                               flush_seconds, primitive_seconds,
-                               residual_seconds, host_busy, before)
-        host_seconds = perf_counter() - started
-        self._note_replay(len(compiled.events), host_seconds,
-                          chunks=kernel.chunks_processed - chunks_before,
-                          scalar_rows=getattr(kernel, "scalar_rows",
-                                              None))
-        eventlog = get_eventlog()
-        if eventlog.enabled:
-            eventlog.emit(
-                "gc_pause",
-                collector=COLLECTOR_FOR_KIND.get(compiled.kind,
-                                                 compiled.kind),
-                kind=compiled.kind, platform=platform.name,
-                sim_ns=int((now - gc_start) * 1e9),
-                host_ns=int(host_seconds * 1e9),
-                events=len(compiled.events))
-        return result
-
-    # -- closed-form path ----------------------------------------------------
-
-    def _replay_closed_form(self, compiled: CompiledTrace
-                            ) -> GCTimingResult:
-        platform = self.platform
-        started = perf_counter()
-        # Single enabled check per GC; the vectorized hot path below
-        # only pays an ``is None`` test per *phase*, not per event.
-        obs = get_tracer()
-        if not obs.enabled:
-            obs = None
-        gc_start = self.clock
-        work_start = platform.begin_gc(gc_start)
-        flush_seconds = work_start - gc_start
-        if obs is not None and flush_seconds > 0.0:
-            obs.add_span("llc-flush", gc_start, flush_seconds,
-                         cat="phase", args={"platform": platform.name})
-
-        primitive_seconds: Dict[Primitive, float] = {}
-        residual_seconds = 0.0
-        host_busy = flush_seconds
-        before = self._snapshot()
-
-        durations = self._kernel.charge(compiled)
-        prim = compiled.events["prim"]
-        now = work_start
-        runs = compiled.phase_runs()
-        for name, lo, hi in runs:
-            phase_start = now
-            seg = durations[lo:hi]
-            # Phase makespan: one thread runs the events back to back;
-            # with several threads only the zero-duration ideal kernel
-            # is eligible, where any assignment has a zero makespan.
-            span = float(seg.sum()) if self.threads == 1 else 0.0
-            codes = prim[lo:hi]
-            for code in np.unique(codes):
-                key = CODE_TO_PRIMITIVE[int(code)]
-                primitive_seconds[key] = primitive_seconds.get(key, 0.0) \
-                    + float(seg[codes == code].sum())
-            if not platform.offloads:
-                host_busy += span
-            now += span
-            work = compiled.residuals.get(name)
-            if work is not None:
-                share = platform.cost_model.residual_seconds(
-                    now, work, self._residual_threads)
-                residual_seconds += share * self._residual_threads
-                host_busy += share * self._residual_threads
-                now += share
-            platform.phase_end(name)
-            if obs is not None:
-                obs.add_span(name, phase_start, now - phase_start,
-                             cat="phase", args={"gc": compiled.kind,
-                                                "events": hi - lo})
-
-        # Residual-only phases that had no events (e.g. summary), in
-        # the trace's insertion order — same as the event-by-event path.
-        seen = {name for name, _, _ in runs}
-        for name, work in compiled.residuals.items():
-            if name in seen:
-                continue
-            share = platform.cost_model.residual_seconds(
-                now, work, self._residual_threads)
-            residual_seconds += share * self._residual_threads
-            host_busy += share * self._residual_threads
-            if obs is not None:
-                obs.add_span(name, now, share, cat="phase",
-                             args={"gc": compiled.kind, "events": 0})
-            now += share
-            platform.phase_end(name)
-
-        if obs is not None:
-            obs.add_span(f"{compiled.kind} gc", gc_start, now - gc_start,
-                         cat="gc",
-                         args={"platform": platform.name,
-                               "events": len(compiled.events)})
-        self.clock = now
-        result = self._package(compiled.kind, gc_start, now,
-                               flush_seconds, primitive_seconds,
-                               residual_seconds, host_busy, before)
-        host_seconds = perf_counter() - started
-        self._note_replay(len(compiled.events), host_seconds)
-        eventlog = get_eventlog()
-        if eventlog.enabled:
-            eventlog.emit(
-                "gc_pause",
-                collector=COLLECTOR_FOR_KIND.get(compiled.kind,
-                                                 compiled.kind),
-                kind=compiled.kind, platform=platform.name,
-                sim_ns=int((now - gc_start) * 1e9),
-                host_ns=int(host_seconds * 1e9),
-                events=len(compiled.events))
-        return result
+        super().__init__(platform, threads=threads, kernel=kernel_for)
 
 
 def make_replayer(platform: Platform, threads: Optional[int] = None,
-                  mode: str = "auto") -> TraceReplayer:
-    """Build the right replayer for ``platform``.
-
-    ``mode`` is ``"auto"`` (fast path where the platform supports it,
-    event-by-event otherwise), ``"fast"`` (require the fast path; raise
-    :class:`FastReplayUnsupported` where it would not be equivalent) or
-    ``"event"`` (force the event-by-event replayer).
-    """
-    if mode == "event":
-        return TraceReplayer(platform, threads=threads)
-    if mode not in ("auto", "fast"):
-        raise ConfigError(f"unknown replay mode {mode!r}; "
-                          f"expected auto, fast or event")
+                  mode: str = "fast") -> TraceReplayer:
+    """The replayer for ``mode``: ``"fast"`` (the platform's fast
+    kernel) or ``"event"`` (the event-by-event oracle)."""
     try:
-        return FastTraceReplayer(platform, threads=threads)
-    except FastReplayUnsupported:
-        if mode == "fast":
-            raise
-        # Auto-mode fallbacks are recorded so a silently event-by-event
-        # experiment is visible in `repro stats` (and fails the CI
-        # fast-path-coverage check when it should not happen).
-        from repro.obs.metrics import global_metrics
-        global_metrics().scope("replay").counter(
-            "kernel_fallbacks",
-            "auto-mode fallbacks to event-by-event replay",
-            platform=platform.name).add(1)
-        eventlog = get_eventlog()
-        if eventlog.enabled:
-            eventlog.emit("fallback", platform=platform.name,
-                          to="event")
-        return TraceReplayer(platform, threads=threads)
+        replayer = {"fast": FastTraceReplayer, "event": TraceReplayer}[mode]
+    except KeyError:
+        raise ConfigError(f"unknown replay mode {mode!r}; "
+                          f"expected fast or event") from None
+    return replayer(platform, threads=threads)
+
+
+def kernel_for(platform: Platform, threads: int):
+    """The fast kernel replaying ``platform`` with ``threads`` GC threads.
+
+    ``ideal`` is closed-form at any thread count: its zero-cost offloads
+    touch no memory resource.  ``cpu-ddr4`` is closed-form with one GC
+    thread: the thread's clock is always >= every channel-FIFO horizon
+    it has reserved (each event finishes no earlier than its own
+    bandwidth reservation), so ``max(now, busy_until)`` degenerates to
+    ``now`` and every duration is a function of the event alone.  Two
+    or more threads genuinely contend on the channel FIFOs, so they
+    batch: only the horizon recurrence and the thread clocks replay in
+    order.  ``cpu-hmc`` batches even with one thread (an event's range
+    splits into per-cube runs queueing on shared serial-link FIFOs, and
+    anonymous residual traffic round-robins a cube cursor), as do the
+    Charon platforms (unit, link and bitmap-cache state; distributed
+    slices resolve to per-slice port horizons and tag arrays).
+    """
+    name = platform.name
+    if name == "ideal":
+        return _ZeroKernel(platform, threads)
+    if name == "cpu-ddr4":
+        if threads == 1:
+            return _DDR4Kernel(platform, threads)
+        return DDR4BatchedKernel(platform, threads)
+    if name == "cpu-hmc":
+        return HostHMCBatchedKernel(platform, threads)
+    if name in ("charon", "charon-cpuside"):
+        return CharonBatchedKernel(platform, threads)
+    raise ConfigError(f"no replay kernel models platform {name!r}")
 
 
 # -- closed-form kernels ----------------------------------------------------
 
-def _kernel_for(platform: Platform):
-    if platform.name == "ideal":
-        return _ZeroKernel()
-    if platform.name == "cpu-ddr4":
-        return _DDR4Kernel(platform)
-    # A platform that newly claims closed-form support must also get a
-    # kernel here; fail loudly rather than misprice its events.
-    raise FastReplayUnsupported(
-        f"{platform.name}: no closed-form kernel implements this "
-        f"platform")
+class _ClosedFormKernel:
+    """Prices every event in ``charge``; a phase's span is the sum
+    of its durations on one thread (with several threads only the
+    zero-duration ideal kernel is chosen, where any assignment has a
+    zero makespan)."""
+
+    name = "closed-form"
+    chunks_processed = 0
+    scalar_rows = None
+
+    def __init__(self, platform: Platform, threads: int) -> None:
+        self.threads = threads
+        self.host_executed = not platform.offloads
+        self._durations = self._prim = None
+
+    def begin(self, compiled: CompiledTrace) -> None:
+        check_primitive_codes(compiled.events["prim"], "compiled trace")
+        self._durations = self.charge(compiled)
+        self._prim = compiled.events["prim"]
+
+    def run_phase(self, lo: int, hi: int, now: float,
+                  acc: Dict[Primitive, float]) -> Tuple[float, float]:
+        seg = self._durations[lo:hi]
+        span = float(seg.sum()) if self.threads == 1 else 0.0
+        codes = self._prim[lo:hi]
+        for code in np.unique(codes):
+            key = CODE_TO_PRIMITIVE[int(code)]
+            acc[key] = acc.get(key, 0.0) + float(seg[codes == code].sum())
+        return now + span, (span if self.host_executed else 0.0)
 
 
-class _ZeroKernel:
+class _ZeroKernel(_ClosedFormKernel):
     """The ideal platform: offloaded primitives take zero cycles and
     generate no memory traffic."""
 
@@ -332,15 +138,15 @@ class _ZeroKernel:
         return np.zeros(len(compiled.events), dtype=np.float64)
 
 
-class _DDR4Kernel:
+class _DDR4Kernel(_ClosedFormKernel):
     """Closed-form single-thread DDR4 event costs.
 
     Replicates ``HostCostModel._roofline`` composed with
     ``DDR4System.stream`` under the no-queue invariant (see
-    :meth:`CpuDDR4Platform.fast_replay_support`), keeping the same
-    IEEE-754 operation order as the scalar code wherever the arithmetic
-    is per-event, so the batched durations match the sequential ones to
-    the last bit *before* the clock summation.
+    :func:`kernel_for`), keeping the same IEEE-754 operation order as
+    the scalar code wherever the arithmetic is per-event, so the batched
+    durations match the sequential ones to the last bit *before* the
+    clock summation.
 
     ``charge`` also performs the event stream's byte/energy accounting
     against the real channel resources in bulk.  The FIFO horizons
@@ -351,7 +157,8 @@ class _DDR4Kernel:
     with or without them.
     """
 
-    def __init__(self, platform: Platform) -> None:
+    def __init__(self, platform: Platform, threads: int) -> None:
+        super().__init__(platform, threads)
         core = platform.host.core
         costs = platform.config.costs
         ddr4 = platform.ddr4

@@ -9,30 +9,95 @@ threads at its barrier.  Resource contention couples the threads: every
 memory stream reserves real bandwidth on the shared fluid resources, so
 eight threads hammering two DDR4 channels saturate exactly as the paper
 describes.
+
+One driver, :meth:`TraceReplayer.replay`, walks every GC: the LLC
+flush, the phase barriers, residual pricing (event phases in order,
+then residual-only phases in insertion order), spans, metrics and the
+``gc_pause`` record.  What an event phase costs is left to a *kernel*:
+
+* ``name`` — reported as ``GCTimingResult.replay_kernel``;
+* ``begin(trace)`` — per-GC preparation, after the counter snapshot;
+* ``run_phase(lo, hi, now, acc) -> (barrier, busy)`` — replay events
+  ``lo:hi`` on all threads from the barrier ``now``, adding each
+  primitive's work seconds into ``acc``; returns the phase's barrier
+  and the host seconds it kept busy;
+* ``chunks_processed`` and ``scalar_rows`` — fed to the
+  ``replay.kernel_*`` metrics.
+
+:class:`EventKernel` steps the platform hooks event by event and is the
+golden oracle; the fast kernels live in
+:mod:`repro.platform.fast_replay` and :mod:`repro.platform.batched`.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple, Union
 
-from repro.gcalgo.trace import GCTrace, Primitive, TraceEvent
+from repro.gcalgo import columnar
+from repro.gcalgo.columnar import CompiledTrace
+from repro.gcalgo.trace import GCTrace, Primitive
 from repro.obs.eventlog import COLLECTOR_FOR_KIND, get_eventlog
 from repro.obs.tracer import get_tracer
 from repro.platform.base import Platform
 from repro.platform.timing import GCTimingResult, PlatformEnergy
 
 
+class EventKernel:
+    """Event-by-event replay through the platform hooks (the oracle).
+
+    Consumes :class:`GCTrace` objects; a :class:`CompiledTrace` is
+    decoded with :meth:`~CompiledTrace.to_trace`, never the reverse.
+    """
+
+    name = "event"
+    chunks_processed = 0
+    scalar_rows = None
+
+    def __init__(self, platform: Platform, threads: int) -> None:
+        self.platform = platform
+        self.threads = threads
+        # An offload blocks its host thread on the response; only the
+        # dispatch instant burns host pipeline (none on ideal).
+        self._dispatch = (0.0 if platform.name == "ideal" else
+                          platform.config.costs.charon_dispatch_overhead_s)
+        self._trace: Optional[GCTrace] = None
+
+    def begin(self, trace: Union[GCTrace, CompiledTrace]) -> None:
+        if isinstance(trace, CompiledTrace):
+            trace = trace.to_trace()
+        self._trace = trace
+
+    def run_phase(self, lo: int, hi: int, now: float,
+                  acc: Dict[Primitive, float]) -> Tuple[float, float]:
+        platform = self.platform
+        offloads = platform.offloads
+        kind = self._trace.kind
+        busy = 0.0
+        # Least-loaded thread assignment via a heap of clocks; every
+        # thread leaves the previous barrier at ``now``.
+        heap = [(now, index) for index in range(self.threads)]
+        for event in self._trace.events[lo:hi]:
+            start, index = heappop(heap)
+            finish = platform.offload_finish(start, event, kind)
+            duration = finish - start
+            acc[event.primitive] = acc.get(event.primitive, 0.0) \
+                + duration
+            busy += self._dispatch if offloads else duration
+            heappush(heap, (finish, index))
+        return max(clock for clock, _ in heap), busy
+
+
 class TraceReplayer:
-    """Replays successive GC traces on one platform instance."""
+    """Replays successive GC traces on one platform instance.
 
-    #: Which replay kernel this replayer drives; the fast path
-    #: overrides it ("closed-form" or a batched kernel name) and every
-    #: result carries it as ``replay_kernel``.
-    kernel_name = "event"
+    ``kernel`` builds the phase kernel from ``(platform, threads)``;
+    the default is the event-by-event oracle.
+    """
 
-    def __init__(self, platform: Platform, threads: int = None) -> None:
+    def __init__(self, platform: Platform, threads: int = None,
+                 kernel=EventKernel) -> None:
         self.platform = platform
         self.threads = (platform.config.gc_threads if threads is None
                         else threads)
@@ -47,13 +112,27 @@ class TraceReplayer:
         # many more threads sit blocked on offload responses.
         self._residual_threads = min(self.threads, cores)
         self.clock = 0.0  # global time; GCs replay back to back
+        self.kernel = kernel(platform, self.threads)
+
+    @property
+    def kernel_name(self) -> str:
+        """The replay kernel every result reports as ``replay_kernel``."""
+        return self.kernel.name
 
     # -- public API --------------------------------------------------------
 
-    def replay(self, trace: GCTrace) -> GCTimingResult:
-        """Replay one GC trace; returns its timing result."""
+    def replay(self, trace: Union[GCTrace, CompiledTrace]
+               ) -> GCTimingResult:
+        """Replay one GC trace (object or compiled form); returns its
+        timing result."""
         platform = self.platform
+        kernel = self.kernel
+        if not isinstance(kernel, EventKernel) \
+                and not isinstance(trace, CompiledTrace):
+            # The fast kernels price compiled columns.
+            trace = columnar.compile_trace(trace)
         started = perf_counter()
+        chunks_before = kernel.chunks_processed
         # One enabled check per GC keeps the disabled path at a single
         # attribute read; ``obs is None`` guards every span below.
         obs = get_tracer()
@@ -66,85 +145,56 @@ class TraceReplayer:
             obs.add_span("llc-flush", gc_start, flush_seconds,
                          cat="phase", args={"platform": platform.name})
 
-        thread_clock = [work_start] * self.threads
         primitive_seconds: Dict[Primitive, float] = {}
         residual_seconds = 0.0
         host_busy = flush_seconds  # LLC flush occupies the host
         before = self._snapshot()
+        # Kernel preparation (the batched kernels' stage 1) comes after
+        # the snapshot, so its bulk accounting attributes to this GC.
+        kernel.begin(trace)
 
-        phases = self._phases(trace)
-        for phase, events in phases:
-            phase_start = thread_clock[0]
-            # Least-loaded thread assignment via a heap of clocks.
-            heap: List[Tuple[float, int]] = [
-                (clock, index) for index, clock in enumerate(thread_clock)]
-            heapq.heapify(heap)
-            for event in events:
-                now, index = heapq.heappop(heap)
-                finish = platform.offload_finish(now, event,
-                                                 trace.kind)
-                duration = finish - now
-                primitive_seconds[event.primitive] = \
-                    primitive_seconds.get(event.primitive, 0.0) + duration
-                if not platform.offloads:
-                    host_busy += duration
-                elif platform.name != "ideal":
-                    # The host thread blocks on the response; only the
-                    # dispatch instant burns host pipeline.
-                    host_busy += \
-                        platform.config.costs.charon_dispatch_overhead_s
-                heapq.heappush(heap, (finish, index))
-            for clock, index in heap:
-                thread_clock[index] = clock
+        residual_threads = self._residual_threads
+        residual_cost = platform.cost_model.residual_seconds
+        now = work_start
+        runs = trace.phase_runs()
+        # Residual-only phases (e.g. summary) follow the event phases,
+        # in the trace's insertion order.
+        seen = {name for name, _, _ in runs}
+        runs = runs + [(name, 0, 0) for name in trace.residuals
+                       if name not in seen]
+        for name, lo, hi in runs:
+            phase_start = now
+            if hi > lo:
+                now, busy = kernel.run_phase(lo, hi, now,
+                                             primitive_seconds)
+                host_busy += busy
             # The phase's residual host work, split across threads.
-            work = trace.residuals.get(phase)
+            work = trace.residuals.get(name)
             if work is not None:
-                barrier = max(thread_clock)
-                share = platform.cost_model.residual_seconds(
-                    barrier, work, self._residual_threads)
-                residual_seconds += share * self._residual_threads
-                host_busy += share * self._residual_threads
-                barrier += share
-                thread_clock = [barrier] * self.threads
-            else:
-                barrier = max(thread_clock)
-                thread_clock = [barrier] * self.threads
-            platform.phase_end(phase)
+                share = residual_cost(now, work, residual_threads)
+                residual_seconds += share * residual_threads
+                host_busy += share * residual_threads
+                now += share
+            platform.phase_end(name)
             if obs is not None:
-                obs.add_span(phase, phase_start,
-                             thread_clock[0] - phase_start, cat="phase",
-                             args={"gc": trace.kind,
-                                   "events": len(events)})
+                obs.add_span(name, phase_start, now - phase_start,
+                             cat="phase", args={"gc": trace.kind,
+                                                "events": hi - lo})
 
-        # Residual-only phases that had no events (e.g. summary).
-        # ``phases`` is reused from above: event phase segmentation is a
-        # pure function of the trace, recomputing it would double the
-        # cost of short traces.
-        leftover = [name for name in trace.residuals
-                    if name not in {p for p, _ in phases}]
-        now = max(thread_clock)
-        for phase in leftover:
-            share = platform.cost_model.residual_seconds(
-                now, trace.residuals[phase], self._residual_threads)
-            residual_seconds += share * self._residual_threads
-            host_busy += share * self._residual_threads
-            if obs is not None:
-                obs.add_span(phase, now, share, cat="phase",
-                             args={"gc": trace.kind, "events": 0})
-            now += share
-            platform.phase_end(phase)
-
+        events = len(trace.events)
         if obs is not None:
             obs.add_span(f"{trace.kind} gc", gc_start, now - gc_start,
                          cat="gc",
                          args={"platform": platform.name,
-                               "events": len(trace.events)})
+                               "events": events})
         self.clock = now
         result = self._package(trace.kind, gc_start, now, flush_seconds,
                                primitive_seconds, residual_seconds,
                                host_busy, before)
         host_seconds = perf_counter() - started
-        self._note_replay(len(trace.events), host_seconds)
+        self._note_replay(events, host_seconds,
+                          kernel.chunks_processed - chunks_before,
+                          kernel.scalar_rows)
         eventlog = get_eventlog()
         if eventlog.enabled:
             eventlog.emit(
@@ -153,10 +203,11 @@ class TraceReplayer:
                 kind=trace.kind, platform=platform.name,
                 sim_ns=int((now - gc_start) * 1e9),
                 host_ns=int(host_seconds * 1e9),
-                events=len(trace.events))
+                events=events)
         return result
 
-    def replay_all(self, traces: Iterable[GCTrace]) -> GCTimingResult:
+    def replay_all(self, traces: Iterable[Union[GCTrace, CompiledTrace]]
+                   ) -> GCTimingResult:
         """Replay a run's GC events back to back; returns the combined
         result."""
         results = [self.replay(trace) for trace in traces]
@@ -164,16 +215,14 @@ class TraceReplayer:
 
     # -- internals -----------------------------------------------------------
 
-    def _note_replay(self, events: int, elapsed: float,
-                     chunks: int = 0,
-                     scalar_rows: Optional[Dict[str, int]] = None
-                     ) -> None:
+    def _note_replay(self, events: int, elapsed: float, chunks: int,
+                     scalar_rows: Optional[Dict[str, int]]) -> None:
         """Record which kernel replayed how much, and how fast.
 
         Feeds the ``replay.kernel_*`` metrics ``repro stats`` reports,
-        so a run always shows whether the fast path actually ran (and
-        the CI fast-path-coverage check can fail on silent fallbacks
-        or on stage-1 rows that reached the scalar planner).
+        so a run always shows which kernel actually ran (and the CI
+        fast-path-coverage check can fail on stage-1 rows that reached
+        the scalar planner).
         """
         from repro.obs.metrics import global_metrics
 
@@ -212,11 +261,7 @@ class TraceReplayer:
                  primitive_seconds: Dict[Primitive, float],
                  residual_seconds: float, host_busy: float,
                  before: Tuple) -> GCTimingResult:
-        """Assemble the timing result from counter deltas.
-
-        Shared with the vectorized fast path so both replayers report
-        through identical accounting code.
-        """
+        """Assemble the timing result from counter deltas."""
         platform = self.platform
         charon_busy_before, (bc_hits_before, bc_accesses_before), \
             (bytes_before, energy_before), traffic_before = before
@@ -246,15 +291,6 @@ class TraceReplayer:
             platform.charon_busy_seconds() - charon_busy_before)
         result.replay_kernel = self.kernel_name
         return result
-
-    @staticmethod
-    def _phases(trace: GCTrace) -> List[Tuple[str, List[TraceEvent]]]:
-        phases: List[Tuple[str, List[TraceEvent]]] = []
-        for event in trace.events:
-            if not phases or phases[-1][0] != event.phase:
-                phases.append((event.phase, []))
-            phases[-1][1].append(event)
-        return phases
 
     def _energy(self, wall: float, host_busy: float, memory_j: float,
                 charon_busy: float) -> PlatformEnergy:

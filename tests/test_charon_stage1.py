@@ -360,7 +360,7 @@ def test_scalar_rows_metric_reaches_repro_stats(fixture_traces):
     platform = build("charon")
     replayer = FastTraceReplayer(platform)
     replayer.replay(compiled)
-    taken = replayer._batched.scalar_rows
+    taken = replayer.kernel.scalar_rows
     assert taken["bitmap_count"] == taken["mark_scan"] == 0
     for row, counter in rows.items():
         assert counter.value == before[row] + taken[row]

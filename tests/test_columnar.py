@@ -9,7 +9,6 @@ from repro.gcalgo.columnar import (CompiledTrace, EVENT_DTYPE,
                                    compile_trace, compile_traces)
 from repro.gcalgo.trace import GCTrace, Primitive, ResidualWork
 from repro.gcalgo.trace_io import trace_to_dict
-from repro.platform.replay import TraceReplayer
 
 
 def all_traces(mixed_run, tiny_spark_run):
@@ -49,12 +48,7 @@ class TestPhaseStructure:
     def test_phase_runs_match_event_replayer_segmentation(
             self, mixed_run, tiny_spark_run):
         for trace in all_traces(mixed_run, tiny_spark_run):
-            expected = [(phase, len(events)) for phase, events
-                        in TraceReplayer._phases(trace)]
-            compiled = compile_trace(trace)
-            got = [(name, hi - lo)
-                   for name, lo, hi in compiled.phase_runs()]
-            assert got == expected
+            assert compile_trace(trace).phase_runs() == trace.phase_runs()
 
     def test_phase_runs_cover_all_events(self, mixed_run):
         for trace in mixed_run.traces:

@@ -1,17 +1,16 @@
 """Golden timing-equivalence tests for the vectorized fast path.
 
-For every platform x GC-kind combination the fast replayer must either
+For every platform x GC-kind combination the fast replayer must
 produce a :class:`GCTimingResult` equivalent to the event-by-event
 replayer — integer traffic counters *exactly* equal, float quantities
-within 1e-9 relative tolerance — or refuse the fast path up front.
+within 1e-9 relative tolerance.
 
-Since the batched stateful kernels landed, every platform accepts the
-fast path at every thread count — including ``charon --distributed``,
-whose per-cube TLB/bitmap-cache slices the batched kernel resolves at
-plan time: ``ideal`` (any threads) and ``cpu-ddr4`` with one GC thread
-price events closed-form, and the rest replay through a two-stage
-batched kernel whose stage 2 runs only the order-dependent recurrence.
-The only refusal left is the abstract base platform.
+Every platform has a fast kernel at every thread count — including
+``charon --distributed``, whose per-cube TLB/bitmap-cache slices the
+batched kernel resolves at plan time: ``ideal`` (any threads) and
+``cpu-ddr4`` with one GC thread price events closed-form, and the rest
+replay through a two-stage batched kernel whose stage 2 runs only the
+order-dependent recurrence.
 
 The tolerance absorbs exactly one thing: the event-by-event path sums
 durations through a sequential clock (``finish - now`` at growing
@@ -21,16 +20,16 @@ bitmap-cache counters) is a pure function of the events and must match
 bit for bit.
 """
 
+import sys
 import time
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.gcalgo.columnar import compile_traces
+from repro.gcalgo.columnar import CompiledTrace, compile_traces
 from repro.gcalgo.trace import Primitive
 from repro.obs.metrics import global_metrics
-from repro.platform.fast_replay import (FastReplayUnsupported,
-                                        FastTraceReplayer, make_replayer)
+from repro.platform.fast_replay import FastTraceReplayer, make_replayer
 from repro.platform.replay import TraceReplayer
 
 from tests.conftest import platform_for
@@ -142,76 +141,52 @@ class TestGoldenEquivalence:
                              ["cpu-hmc", "charon", "ideal"])
     def test_object_and_compiled_inputs_agree(self, mixed_run,
                                               platform_name):
-        """FastTraceReplayer accepts GCTrace too, compiling on the fly."""
+        """Both replayers accept either trace form with identical
+        results: the fast one compiles objects on the fly, the event
+        one decodes compiled traces."""
         trace = mixed_run.traces[0]
-        a_platform, _, _ = platform_for(platform_name)
-        b_platform, _, _ = platform_for(platform_name)
-        from_objects = FastTraceReplayer(a_platform).replay(trace)
-        from_compiled = FastTraceReplayer(b_platform).replay(
-            compile_traces([trace])[0])
-        assert_equivalent(from_objects, from_compiled)
+        compiled = compile_traces([trace])[0]
+        for replayer in (FastTraceReplayer, TraceReplayer):
+            from_objects = replayer(platform_for(platform_name)[0]) \
+                .replay(trace)
+            from_compiled = replayer(platform_for(platform_name)[0]) \
+                .replay(compiled)
+            assert_equivalent(from_objects, from_compiled)
+            assert from_objects == from_compiled
+
+    @pytest.mark.parametrize("platform_name", PLATFORMS)
+    def test_event_oracle_never_compiles(self, mixed_run, monkeypatch,
+                                         platform_name):
+        """The golden oracle prices GCTrace objects as they are; a
+        compile step in its path would let a compiler bug hide in both
+        sides of the comparison."""
+        from repro.gcalgo.columnar import compile_trace
+
+        def refuse(trace):
+            raise AssertionError("the event oracle compiled a trace")
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") \
+                    and vars(module).get("compile_trace") is compile_trace:
+                monkeypatch.setattr(module, "compile_trace", refuse)
+        replayer = TraceReplayer(platform_for(platform_name)[0])
+        result = replayer.replay_all(mixed_run.traces)
+        assert result.replay_kernel == "event"
+        assert result.wall_seconds > 0
 
 
 class TestModeSelection:
     def test_distributed_charon_fast_mode_batches(self):
-        """The last refusal fell: ``charon --distributed`` replays
-        through the slice-aware batched kernel, even in the strict
-        ``fast`` mode."""
+        """``charon --distributed`` replays through the slice-aware
+        batched kernel."""
         platform, _, _ = platform_for("charon-distributed")
         replayer = make_replayer(platform, mode="fast")
         assert isinstance(replayer, FastTraceReplayer)
         assert replayer.kernel_name == "charon-batched"
 
-    def test_no_named_platform_refuses(self):
-        """``fast_replay_support`` refuses nothing anywhere in the
-        matrix (the CI coverage script enforces the same invariant)."""
-        from repro.platform.base import FAST_BATCHED, FAST_CLOSED_FORM
-
-        for name in PLATFORMS:
-            for threads in THREADS:
-                platform, _, _ = platform_for(name)
-                support, _ = platform.fast_replay_support(threads)
-                assert support in (FAST_CLOSED_FORM, FAST_BATCHED), \
-                    (name, threads, support)
-
-    def test_distributed_charon_does_not_count_a_fallback(self):
-        fallbacks = global_metrics().scope("replay").counter(
-            "kernel_fallbacks",
-            "auto-mode fallbacks to event-by-event replay",
-            platform="charon")
-        before = fallbacks.value
-        replayer = make_replayer(platform_for("charon-distributed")[0])
-        assert isinstance(replayer, FastTraceReplayer)
-        assert fallbacks.value == before
-
-    def test_auto_fallback_counts_a_metric(self):
-        """A platform that refuses (none are left in-tree) still falls
-        back to event-by-event replay and records the fallback."""
-        from repro.config import default_config
-        from repro.platform.base import FAST_REFUSE
-
-        class RefusingPlatform:
-            name = "refusing-stub"
-            offloads = False
-            config = default_config()
-
-            def fast_replay_support(self, threads):
-                return (FAST_REFUSE, "stub platform refuses")
-
-        with pytest.raises(FastReplayUnsupported, match="stub"):
-            make_replayer(RefusingPlatform(), mode="fast")
-        fallbacks = global_metrics().scope("replay").counter(
-            "kernel_fallbacks",
-            "auto-mode fallbacks to event-by-event replay",
-            platform="refusing-stub")
-        before = fallbacks.value
-        replayer = make_replayer(RefusingPlatform())
-        assert type(replayer) is TraceReplayer
-        assert fallbacks.value == before + 1
-
     def test_distributed_cpuside_still_batches(self):
         """The cpu-side organisation keeps the host-side unified
-        TLB/bitmap cache, so --distributed does not refuse it."""
+        TLB/bitmap cache, so --distributed still batches it."""
         from repro.config import default_config
         from repro.heap.heap import JavaHeap
         from repro.platform.factory import build_platform
@@ -242,6 +217,26 @@ class TestModeSelection:
         platform, _, _ = platform_for("ideal")
         with pytest.raises(ConfigError, match="unknown replay mode"):
             make_replayer(platform, mode="turbo")
+
+
+@pytest.mark.parametrize("platform_name,threads,mode", [
+    ("ideal", 1, "fast"), ("ideal", 8, "fast"), ("cpu-ddr4", 1, "fast"),
+    ("cpu-ddr4", 8, "fast"), ("cpu-hmc", 8, "fast"),
+    ("charon", 8, "fast"), ("charon", 8, "event"),
+    ("cpu-ddr4", 1, "event")])
+def test_unknown_primitive_code_is_a_config_error(mixed_run, platform_name,
+                                                  threads, mode):
+    """An in-memory trace no primitive decodes fails the same way on
+    every kernel."""
+    compiled = compile_traces([mixed_run.traces[0]])[0]
+    events = compiled.events.copy()
+    events["prim"][len(events) // 2] = 9
+    bad = CompiledTrace(compiled.kind, compiled.heap_bytes, events,
+                        compiled.phase_names, compiled.residuals)
+    replayer = make_replayer(platform_for(platform_name)[0],
+                             threads=threads, mode=mode)
+    with pytest.raises(ConfigError, match="primitive code"):
+        replayer.replay(bad)
 
 
 class TestKernelMetrics:

@@ -223,7 +223,8 @@ class TestBatchedAllocation:
         assert len(run_a.traces) == len(run_b.traces) >= 1
         for a, b in zip(run_a.traces, run_b.traces):
             assert a.kind == b.kind and a.events == b.events
-            assert a.residuals == b.residuals
+            assert list(a.residuals.items()) == \
+                list(b.residuals.items())
 
 
 class TestKernelDifferential:

@@ -26,7 +26,7 @@ from repro.obs.export import (METRICS_SCHEMA_VERSION, metrics_csv,
                               write_metrics_json)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer, get_tracer
-from repro.platform import fast_replay
+from repro.platform import replay
 from repro.platform.fast_replay import FastTraceReplayer
 from repro.platform.replay import TraceReplayer
 from tests.conftest import platform_for
@@ -64,6 +64,26 @@ def test_fast_replay_spans_cover_sim_time(tracing, tiny_spark_run):
     compiled = compile_traces(tiny_spark_run.traces)
     result = replayer.replay_all(compiled)
     assert _sim_gc_coverage(tracing, result) >= 0.95
+
+
+@pytest.mark.parametrize("replayer", [TraceReplayer, FastTraceReplayer])
+def test_residual_only_phases_follow_in_insertion_order(tracing, mixed_run,
+                                                        replayer):
+    """The driver prices the event phases in order, then the
+    residual-only phases in the trace's insertion order (the order the
+    trace codecs store); its phase spans record that order."""
+    from repro.gcalgo.columnar import compile_trace
+
+    trace = compile_trace(mixed_run.traces[0]).to_trace()
+    trace.residual("zeta-only", 5000.0, 4096)
+    trace.residual("alpha-only", 5000.0, 4096)
+    runs = [name for name, _, _ in trace.phase_runs()]
+    expected = runs + [name for name in trace.residuals
+                       if name not in runs]
+    assert expected[-2:] == ["zeta-only", "alpha-only"]
+    replayer(platform_for("cpu-hmc")[0]).replay(trace)
+    assert [e["name"] for e in tracing.chrome_events()
+            if e.get("cat") == "phase"] == expected
 
 
 def test_collectors_emit_host_spans(tracing):
@@ -125,7 +145,7 @@ def test_disabled_tracing_overhead_under_5_percent(
 
     stub = Tracer()  # disabled
     for attempt in range(3):
-        monkeypatch.setattr(fast_replay, "get_tracer", lambda: stub)
+        monkeypatch.setattr(replay, "get_tracer", lambda: stub)
         baseline = measure()
         monkeypatch.undo()
         disabled = measure()

@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.config import REPLAY_JOBS_ENV, TRACE_CACHE_ENV
+from repro.errors import ConfigError
 from repro.experiments import shard_journal
 from repro.experiments.runner import (_fork_available, clear_cache,
                                       replay_grid, replay_platform)
@@ -51,6 +52,15 @@ class TestDeterministicMerge:
         monkeypatch.setenv(REPLAY_JOBS_ENV, "2")
         from_env = replay_grid(PLATFORMS, [WORKLOAD])
         grids_equal(serial, from_env)
+
+    @pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5"])
+    def test_jobs_env_variable_must_be_a_positive_integer(
+            self, monkeypatch, raw):
+        monkeypatch.setenv(REPLAY_JOBS_ENV, raw)
+        with pytest.raises(ConfigError, match=REPLAY_JOBS_ENV):
+            replay_grid(PLATFORMS, [WORKLOAD])
+        # An explicit process count does not consult the variable.
+        assert replay_grid(["ideal"], [WORKLOAD], processes=1)
 
     def test_forked_results_warm_the_memo(self):
         if not _fork_available():

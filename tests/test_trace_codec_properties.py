@@ -207,6 +207,27 @@ class TestTampering:
         with pytest.raises(ConfigError):
             load_compiled(path)
 
+    @pytest.mark.parametrize("column,value,message", [
+        ("prim", 9, "unknown primitive code 9"),
+        ("prim", 0, "unknown primitive code 0"),
+        ("phase", 999, "phase id 999"),
+    ])
+    def test_undecodable_event_rejected(self, tmp_path, mixed_run,
+                                        column, value, message):
+        """A code no primitive or phase name decodes fails at load, the
+        same way whatever replays the file next."""
+        path = saved_npz(tmp_path, mixed_run)
+        with np.load(path) as archive:
+            members = {key: archive[key] for key in archive.files}
+        events = members["events_00000"].copy()
+        events[column][0] = value
+        members["events_00000"] = events
+        np.savez(path, **members)
+        with pytest.raises(ConfigError, match=message):
+            load_compiled(path)
+        with pytest.raises(ConfigError, match=message):
+            list(stream_compiled(path))
+
     def test_json_version_mismatch_rejected(self, tmp_path, mixed_run):
         path = tmp_path / "run.gctrace.json"
         save_traces(mixed_run.traces, path)
